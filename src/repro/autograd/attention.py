@@ -9,7 +9,7 @@ import numpy as np
 from . import functional as F
 from .layers import Dropout, Linear
 from .module import Module
-from .tensor import Tensor
+from .tensor import Tensor, gather_rows
 
 
 class MultiHeadAttention(Module):
@@ -53,20 +53,35 @@ class MultiHeadAttention(Module):
         # (B, T, D) -> (B, H, T, Dh)
         return x.reshape(batch, seq, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
 
-    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """(B, T, D) -> (B, T, D), or (B, 1, D) with ``rows``.
+
+        ``rows`` (B,) asks for the output at query position ``rows[b]``
+        only: keys and values still cover every position, and the
+        attention dropout keeps the full mask's draws at those rows.
+        """
         batch, seq, _ = x.shape
-        q = self._split_heads(self.q_proj(x), batch, seq)
+        queries = x if rows is None else at_rows(x, rows)
+        q_len = queries.shape[1]
+        q = self._split_heads(self.q_proj(queries), batch, q_len)
         k = self._split_heads(self.k_proj(x), batch, seq)
         v = self._split_heads(self.v_proj(x), batch, seq)
 
-        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, H, T, T)
+        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, H, Tq, T)
         if pad_mask is not None:
             mask = F.attention_scores_mask(pad_mask)  # (B, 1, 1, T)
             mask = np.broadcast_to(mask, scores.shape)
             scores = F.masked_fill(scores, mask, -1e9)
         weights = F.softmax(scores, axis=-1)
-        weights = self.attn_dropout(weights)
+        weights = self.attn_dropout(weights, rows=rows, seq_len=seq)
 
-        context = weights @ v  # (B, H, T, Dh)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
+        context = weights @ v  # (B, H, Tq, Dh)
+        context = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.d_model)
         return self.out_proj(context)
+
+
+def at_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """(B, T, D) -> (B, 1, D): position ``rows[b]`` of each sequence."""
+    batch, _, width = x.shape
+    return gather_rows(x, np.arange(batch), rows).reshape(batch, 1, width)

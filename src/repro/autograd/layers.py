@@ -12,7 +12,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, get_default_dtype
 
 
 class Linear(Module):
@@ -110,6 +110,52 @@ def dropout_plan(plan: Optional[DropoutPlan]):
         _ACTIVE_DROPOUT_PLAN = previous
 
 
+#: bit generators whose ``advance(n)`` skips exactly the 64-bit outputs
+#: that ``n`` float64 ``random()`` draws consume
+_SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def row_uniforms(rng: np.random.Generator, shape: Sequence[int],
+                 rows: np.ndarray) -> np.ndarray:
+    """``rng.random(shape)`` kept only at position ``rows[b]`` of axis -2.
+
+    Returns shape ``shape[:-2] + (1, shape[-1])``: for every batch row
+    ``b`` (axis 0) and every index of the middle axes, the ``shape[-1]``
+    uniforms the full-shape draw puts at ``rows[b]``. Only those are
+    drawn and ``advance`` skips the rest, so each kept value and the
+    generator's final state equal those of ``rng.random(shape)``. A
+    generator that cannot skip (another bit generator, or one holding a
+    buffered 32-bit half that ``advance`` would drop) draws the full shape
+    and slices it, with the same result.
+    """
+    shape = tuple(int(n) for n in shape)
+    batch, length, width = shape[0], shape[-2], shape[-1]
+    inner = int(np.prod(shape[1:-2], dtype=np.int64))
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape != (batch,):
+        raise ValueError(f"need one row per batch entry, got {rows.shape} "
+                         f"for shape {shape}")
+    kept_shape = shape[:-2] + (1, width)
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, _SKIPPABLE) or bitgen.state["has_uint32"]:
+        full = rng.random(shape).reshape(batch, inner, length, width)
+        return full[np.arange(batch), :, rows].reshape(kept_shape)
+    out = np.empty((batch, inner, width))
+    position = 0
+    for b in range(batch):
+        start = (b * inner * length + int(rows[b])) * width
+        for h in range(inner):
+            if start > position:
+                bitgen.advance(start - position)
+            rng.random(out=out[b, h])
+            position = start + width
+            start += length * width
+    total = batch * inner * length * width
+    if total > position:
+        bitgen.advance(total - position)
+    return out.reshape(kept_shape)
+
+
 class Dropout(Module):
     """Inverted dropout driven by the module's training flag.
 
@@ -119,6 +165,12 @@ class Dropout(Module):
     counter-based masks derived from the seed and this module's
     ``seed_salt``, making individual passes replayable and allowing the
     vectorized MC-Dropout path to match the sequential one exactly.
+
+    ``rows`` marks an activation that holds only position ``rows[b]`` of
+    its axis -2 (size 1 there, full length ``seq_len``), as the encoder's
+    last layer computes it: the mask is the full-shape draw at those
+    positions, and every generator ends where the full draw leaves it
+    (see :func:`row_uniforms`).
     """
 
     def __init__(self, p: float, rng: Optional[np.random.Generator] = None) -> None:
@@ -130,33 +182,57 @@ class Dropout(Module):
         self.seed_salt = next(_DROPOUT_SALTS)
 
     def _seeded_mask(self, shape, seeds: Sequence[int],
-                     batch_index: int, base_seed: int) -> Optional[np.ndarray]:
+                     batch_index: int, base_seed: int, dtype,
+                     rows: Optional[np.ndarray] = None
+                     ) -> Optional[np.ndarray]:
         """Tile-wise mask: rows split across ``seeds``; None if not tileable."""
         tiles = len(seeds)
         if not shape or shape[0] % tiles != 0:
             return None
-        per_tile = (shape[0] // tiles,) + tuple(shape[1:])
+        per = shape[0] // tiles
+        per_tile = (per,) + tuple(shape[1:])
         parts = []
-        for seed in seeds:
+        for k, seed in enumerate(seeds):
             rng = np.random.default_rng(
                 [int(base_seed), int(seed), int(batch_index), self.seed_salt])
-            parts.append((rng.random(per_tile) >= self.p) / (1.0 - self.p))
+            uniform = (rng.random(per_tile) if rows is None else
+                       row_uniforms(rng, per_tile, rows[k * per:(k + 1) * per]))
+            parts.append(F.scaled_keep_mask(uniform, self.p, dtype))
         return parts[0] if tiles == 1 else np.concatenate(parts, axis=0)
 
-    def forward(self, x: Tensor, seed: Optional[int] = None) -> Tensor:
+    def keep_mask(self, shape, dtype, rows: Optional[np.ndarray] = None,
+                  seq_len: Optional[int] = None,
+                  seed: Optional[int] = None) -> Optional[np.ndarray]:
+        """The scaled mask for an activation of ``shape``; None when inactive.
+
+        With ``rows`` the activation holds only position ``rows[b]`` of an
+        axis -2 of full length ``seq_len``. The raw-numpy fastpath calls
+        this directly, so both paths draw the same masks.
+        """
         if not self.training or self.p <= 0.0:
-            return x
+            return None
+        if rows is not None:
+            shape = tuple(shape[:-2]) + (seq_len, shape[-1])
         if seed is not None:
-            mask = self._seeded_mask(x.shape, (int(seed),), 0, 0)
+            mask = self._seeded_mask(shape, (int(seed),), 0, 0, dtype, rows)
             if mask is not None:
-                return x * Tensor(mask)
+                return mask
         plan = active_dropout_plan()
         if plan is not None:
-            mask = self._seeded_mask(x.shape, plan.pass_seeds,
-                                     plan.batch_index, plan.base_seed)
+            mask = self._seeded_mask(shape, plan.pass_seeds, plan.batch_index,
+                                     plan.base_seed, dtype, rows)
             if mask is not None:
-                return x * Tensor(mask)
-        return F.dropout(x, self.p, self.training, rng=self.rng)
+                return mask
+        uniform = (self.rng.random(shape) if rows is None
+                   else row_uniforms(self.rng, shape, rows))
+        return F.scaled_keep_mask(uniform, self.p, dtype)
+
+    def forward(self, x: Tensor, seed: Optional[int] = None,
+                rows: Optional[np.ndarray] = None,
+                seq_len: Optional[int] = None) -> Tensor:
+        mask = self.keep_mask(x.shape, get_default_dtype(), rows, seq_len,
+                              seed)
+        return x if mask is None else x * Tensor(mask)
 
 
 class Sequential(Module):

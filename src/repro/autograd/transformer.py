@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from . import functional as F
-from .attention import MultiHeadAttention
+from .attention import MultiHeadAttention, at_rows
 from .layers import Dropout, LayerNorm, Linear
 from .module import Module
 from .tensor import Tensor
@@ -25,8 +25,12 @@ class FeedForward(Module):
         self.fc2 = Linear(d_ff, d_model, rng=rng)
         self.dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**31)))
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.dropout(self.fc2(F.gelu(self.fc1(x))))
+    def forward(self, x: Tensor, rows: Optional[np.ndarray] = None,
+                seq_len: Optional[int] = None) -> Tensor:
+        # ``rows``/``seq_len`` describe a last-layer (B, 1, D) input to
+        # the dropout; see TransformerEncoderLayer.forward
+        return self.dropout(self.fc2(F.gelu(self.fc1(x))), rows=rows,
+                            seq_len=seq_len)
 
 
 class TransformerEncoderLayer(Module):
@@ -44,21 +48,32 @@ class TransformerEncoderLayer(Module):
         self.norm2 = LayerNorm(d_model)
         self.dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**31)))
 
-    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """(B, T, D) -> (B, T, D), or (B, D) at positions ``rows`` (B,).
+
+        With ``rows`` only keys and values see every position; the query,
+        attention output, residuals, both LayerNorms and the FFN run on
+        one position per sequence, and each dropout keeps the draws the
+        full layer would make there (same generator states afterwards).
+        """
         # Optional PEFT bottleneck adapters (repro.core.peft) hang off the
         # layer as ``adapter_attn``/``adapter_ffn``; absent attributes keep
         # this the exact pre-PEFT graph.
-        attn_out = self.dropout(self.attention(x, pad_mask=pad_mask))
+        seq_len = x.shape[1]
+        attn_out = self.dropout(self.attention(x, pad_mask=pad_mask, rows=rows),
+                                rows=rows, seq_len=seq_len)
         adapter = getattr(self, "adapter_attn", None)
         if adapter is not None:
             attn_out = adapter(attn_out)
-        x = self.norm1(x + attn_out)
-        ffn_out = self.ffn(x)
+        residual = x if rows is None else at_rows(x, rows)
+        x = self.norm1(residual + attn_out)
+        ffn_out = self.ffn(x, rows=rows, seq_len=seq_len)
         adapter = getattr(self, "adapter_ffn", None)
         if adapter is not None:
             ffn_out = adapter(ffn_out)
         x = self.norm2(x + ffn_out)
-        return x
+        return x if rows is None else x.reshape(x.shape[0], x.shape[2])
 
 
 class TransformerEncoder(Module):
@@ -77,7 +92,14 @@ class TransformerEncoder(Module):
             self.register_module(f"layer{i}", layer)
             self.layers.append(layer)
 
-    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None) -> Tensor:
-        for layer in self.layers:
-            x = layer(x, pad_mask=pad_mask)
+    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """(B, T, D) hidden states, or (B, D) at positions ``rows`` (B,).
+
+        A head that reads one position per sequence (the prompt model's
+        [MASK]) passes ``rows``: the last layer then runs only there.
+        """
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            x = layer(x, pad_mask=pad_mask, rows=rows if i == last else None)
         return x

@@ -14,9 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..autograd import (
-    Module, Tensor, functional as F, gather_rows, is_grad_enabled, where,
-)
+from ..autograd import Module, Tensor, functional as F, is_grad_enabled, where
 from ..data.dataset import CandidatePair
 from ..data.serialize import serialize
 from ..infer import PairEncoding
@@ -129,10 +127,10 @@ class PromptModel(Module):
         positions = np.broadcast_to(np.arange(longest), ids.shape)
         embeds = self.lm.embed_from_vectors(token_vecs, positions,
                                             token_ids=ids)
-        hidden = self.lm.encode(ids, pad_mask=pad_mask, inputs_embeds=embeds)
-        # project only the [MASK] rows through the (d, V) vocab head:
-        # (B, d) x (d, V) instead of (B*T, d) x (d, V).
-        at_mask = gather_rows(hidden, np.arange(batch), mask_positions)
+        # the head reads only the [MASK] rows, so the last encoder layer
+        # runs only there and the (d, V) vocab head projects (B, d) rows
+        at_mask = self.lm.encode(ids, pad_mask=pad_mask, inputs_embeds=embeds,
+                                 rows=mask_positions)
         return self.lm.mlm_logits(at_mask)
 
     def _class_probs(self, mask_logits: Tensor) -> Tensor:

@@ -11,11 +11,19 @@ for op, in the same order. Guarantees:
   float32 coercion of scalar constants and ``sum * (1/n)`` means), so
   results agree with the reference path to float32 round-off;
 * **same randomness** -- dropout masks come from the very same
-  :class:`~repro.autograd.Dropout` modules (plan-aware seeded masks, or
-  the module's own rng as a fallback), so MC-Dropout draws are unchanged;
-* **less work** -- the MLM head runs only at the [MASK] positions
-  ((B, D) instead of (B, T, D) -> 1/T of the decoder matmul), and
-  duplicate-token flags are memoized per encoding;
+  :class:`~repro.autograd.Dropout` modules (``Dropout.keep_mask``:
+  plan-aware seeded masks, or the module's own rng as a fallback), so
+  MC-Dropout draws are unchanged;
+* **less work** -- the prompt model's head reads only the [MASK] row, so
+  the last encoder layer runs only there: keys and values at every
+  position, but the query, attention output, residuals, LayerNorms and
+  FFN on one row per sequence, and the MLM head decodes (B, D) instead of
+  (B, T, D). That layer's dropouts draw only the mask rows it uses and
+  skip the rest with PCG64's ``advance``, so every kept draw and every
+  generator's final state equal the full-shape draw's, and MC-Dropout
+  pseudo-labels, MC-EL2N scores and training trajectories are unchanged.
+  The P-tuning prompt encoder runs as a numpy twin (``prompt_matrix``,
+  bit-identical), and duplicate-token flags are memoized per encoding;
 * **less memory traffic** -- kernels run in place on owned temporaries
   (same operation order, so bit-identical results), q/k/v come from one
   fused (D, 3D) projection, the big attention matmuls write into
@@ -33,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..autograd.layers import active_dropout_plan
+from ..autograd.tensor import get_default_dtype
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
@@ -57,18 +65,17 @@ def _scratch_buf(key: str, shape, dtype) -> np.ndarray:
     return buf
 
 
-def _apply_dropout(module, x: np.ndarray) -> np.ndarray:
-    """Numpy twin of ``Dropout.forward`` (no per-call seed variant)."""
-    if not module.training or module.p <= 0.0:
-        return x
-    plan = active_dropout_plan()
-    if plan is not None:
-        mask = module._seeded_mask(x.shape, plan.pass_seeds,
-                                   plan.batch_index, plan.base_seed)
-        if mask is not None:
-            return x * mask.astype(x.dtype)
-    mask = (module.rng.random(x.shape) >= module.p) / (1.0 - module.p)
-    return x * mask.astype(x.dtype)
+def _apply_dropout(module, x: np.ndarray, rows: Optional[np.ndarray] = None,
+                   seq_len: Optional[int] = None) -> np.ndarray:
+    """Numpy twin of ``Dropout.forward`` (no per-call seed variant).
+
+    Mutates ``x`` (every caller passes an owned temporary); the mask comes
+    from ``Dropout.keep_mask``, already in ``x``'s dtype.
+    """
+    mask = module.keep_mask(x.shape, x.dtype, rows, seq_len)
+    if mask is not None:
+        x *= mask
+    return x
 
 
 def _linear(fc, x: np.ndarray) -> np.ndarray:
@@ -120,66 +127,86 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _attention(attn, x: np.ndarray,
-               score_mask: Optional[np.ndarray]) -> np.ndarray:
+def _attention(attn, x: np.ndarray, score_mask: Optional[np.ndarray],
+               rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """(B, T, D) -> (B, T, D), or (B, 1, D) at query positions ``rows``."""
     batch, seq, _ = x.shape
+    heads, d_head = attn.num_heads, attn.d_head
 
     # One fused (D, 3D) projection instead of three (D, D) GEMMs. The
     # column-blocked GEMM reduces over the same K axis in the same order,
     # so each q/k/v element is bit-identical to its separate projection.
-    qkv_weight = np.concatenate(
-        (attn.q_proj.weight.data, attn.k_proj.weight.data,
-         attn.v_proj.weight.data), axis=1)
-    qkv = x @ qkv_weight
+    # With ``rows`` only k/v are fused; q is projected at the rows alone.
+    projs = ((attn.q_proj, attn.k_proj, attn.v_proj) if rows is None
+             else (attn.k_proj, attn.v_proj))
+    fused = x @ np.concatenate([proj.weight.data for proj in projs], axis=1)
     if attn.q_proj.bias is not None:
-        qkv += np.concatenate(
-            (attn.q_proj.bias.data, attn.k_proj.bias.data,
-             attn.v_proj.bias.data))
+        fused += np.concatenate([proj.bias.data for proj in projs])
 
-    # (B, T, 3D) -> (B, T, 3, H, d_head): a pure view of the fused output,
+    # (B, T, nD) -> (B, T, n, H, d_head): a pure view of the fused output,
     # so q/k/v never get copied out
-    qkv = qkv.reshape(batch, seq, 3, attn.num_heads, attn.d_head)
-    q = qkv[:, :, 0].transpose(0, 2, 1, 3)
-    k = qkv[:, :, 1].transpose(0, 2, 1, 3)
-    v = qkv[:, :, 2].transpose(0, 2, 1, 3)
-    scores = _scratch_buf("scores", (batch, attn.num_heads, seq, seq), x.dtype)
+    fused = fused.reshape(batch, seq, len(projs), heads, d_head)
+    k = fused[:, :, -2].transpose(0, 2, 1, 3)
+    v = fused[:, :, -1].transpose(0, 2, 1, 3)
+    if rows is None:
+        q, tag = fused[:, :, 0].transpose(0, 2, 1, 3), ""
+    else:
+        q = _linear(attn.q_proj, x[np.arange(batch), rows])
+        q, tag = q.reshape(batch, heads, 1, d_head), "_rows"
+    q_len = q.shape[2]
+    scores = _scratch_buf("scores" + tag, (batch, heads, q_len, seq), x.dtype)
     np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
     scores *= x.dtype.type(attn.scale)
     if score_mask is not None:
         np.copyto(scores, x.dtype.type(-1e9), where=score_mask)
-    weights = _apply_dropout(attn.attn_dropout, _softmax(scores))
-    context = _scratch_buf(
-        "context", (batch, attn.num_heads, seq, attn.d_head), x.dtype)
+    weights = _apply_dropout(attn.attn_dropout, _softmax(scores), rows, seq)
+    context = _scratch_buf("context" + tag, (batch, heads, q_len, d_head),
+                           x.dtype)
     np.matmul(weights, v, out=context)
     context = context.transpose(0, 2, 1, 3)
-    return _linear(attn.out_proj, context.reshape(batch, seq, attn.d_model))
+    return _linear(attn.out_proj, context.reshape(batch, q_len, attn.d_model))
 
 
-def encoder_hidden(lm, embeds: np.ndarray,
-                   pad_mask: Optional[np.ndarray]) -> np.ndarray:
-    """The TransformerEncoder stack on raw arrays: (B, T, D) -> (B, T, D)."""
+def encoder_hidden(lm, embeds: np.ndarray, pad_mask: Optional[np.ndarray],
+                   rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """The TransformerEncoder stack on raw arrays: (B, T, D) -> (B, T, D).
+
+    With ``rows`` (B,) the last layer runs only at position ``rows[b]``
+    of each sequence and the result is (B, D), as in
+    ``TransformerEncoder.forward``.
+    """
     # A no-padding batch (length-homogeneous bucket) masks nothing; skip
     # the (B, H, T, T) masked fill entirely in that case.
     score_mask = (pad_mask[:, None, None, :]
                   if pad_mask is not None and pad_mask.any() else None)
     x = embeds
-    for layer in lm.encoder.layers:
-        attn_out = _apply_dropout(
-            layer.dropout, _attention(layer.attention, x, score_mask))
-        adapter = getattr(layer, "adapter_attn", None)
-        if adapter is not None:
-            _adapter(adapter, attn_out)
-        attn_out += x  # residual, in place on the fresh projection output
-        x = _layer_norm(layer.norm1, attn_out)
-        ffn = layer.ffn
-        ffn_out = _apply_dropout(
-            ffn.dropout, _linear(ffn.fc2, _gelu(_linear(ffn.fc1, x))))
-        adapter = getattr(layer, "adapter_ffn", None)
-        if adapter is not None:
-            _adapter(adapter, ffn_out)
-        ffn_out += x
-        x = _layer_norm(layer.norm2, ffn_out)
+    last = len(lm.encoder.layers) - 1
+    for i, layer in enumerate(lm.encoder.layers):
+        x = _encoder_layer(layer, x, score_mask, rows if i == last else None)
     return x
+
+
+def _encoder_layer(layer, x: np.ndarray, score_mask: Optional[np.ndarray],
+                   rows: Optional[np.ndarray]) -> np.ndarray:
+    seq = x.shape[1]
+    attn_out = _apply_dropout(
+        layer.dropout, _attention(layer.attention, x, score_mask, rows),
+        rows, seq)
+    adapter = getattr(layer, "adapter_attn", None)
+    if adapter is not None:
+        _adapter(adapter, attn_out)
+    # residual, in place on the fresh projection output
+    attn_out += x if rows is None else x[np.arange(len(rows)), rows][:, None]
+    x = _layer_norm(layer.norm1, attn_out)
+    ffn = layer.ffn
+    ffn_out = _apply_dropout(
+        ffn.dropout, _linear(ffn.fc2, _gelu(_linear(ffn.fc1, x))), rows, seq)
+    adapter = getattr(layer, "adapter_ffn", None)
+    if adapter is not None:
+        _adapter(adapter, ffn_out)
+    ffn_out += x
+    x = _layer_norm(layer.norm2, ffn_out)
+    return x if rows is None else x.reshape(len(rows), x.shape[2])
 
 
 def _adapter(adapter, x: np.ndarray) -> np.ndarray:
@@ -191,6 +218,53 @@ def _adapter(adapter, x: np.ndarray) -> np.ndarray:
     """
     x += _linear(adapter.up, _gelu(_linear(adapter.down, x)))
     return x
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))  # Tensor.sigmoid's op order
+
+
+def _lstm(lstm, x: np.ndarray) -> np.ndarray:
+    """Numpy twin of ``LSTM.forward``: (B, S, I) -> (B, S, H)."""
+    cell = lstm.cell
+    batch, seq, _ = x.shape
+    hs = cell.hidden_size
+    h = np.zeros((batch, hs), dtype=get_default_dtype())
+    c = np.zeros_like(h)
+    out = np.empty((batch, seq, hs), dtype=x.dtype)
+    for t in (range(seq - 1, -1, -1) if lstm.reverse else range(seq)):
+        gates = x[:, t, :] @ cell.w_ih.data + h @ cell.w_hh.data + cell.bias.data
+        i = _sigmoid(gates[:, 0 * hs:1 * hs])
+        f = _sigmoid(gates[:, 1 * hs:2 * hs])
+        g = np.tanh(gates[:, 2 * hs:3 * hs])
+        o = _sigmoid(gates[:, 3 * hs:4 * hs])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        out[:, t] = h
+    return out
+
+
+def prompt_matrix(encoder) -> np.ndarray:
+    """(P, D) continuous prompt vectors, without the autograd graph.
+
+    A P-tuning ``PromptEncoder`` (embeddings -> BiLSTM -> ReLU -> MLP) runs
+    through numpy twins of its layers in the reference op order, so the
+    result equals ``encoder().data`` bit for bit at a fraction of the
+    Tensor path's per-op cost. Any other prompt source (a ``SoftPrompt``,
+    a fused tenant stack) already is a plain matrix and is read as is.
+    """
+    lstm = getattr(encoder, "lstm", None)
+    if lstm is None:
+        return encoder().data
+    seq = encoder.embeddings.data.reshape(1, encoder.num_tokens,
+                                          encoder.d_model)
+    encoded = np.concatenate(
+        (_lstm(lstm.forward_lstm, seq), _lstm(lstm.backward_lstm, seq)),
+        axis=-1)
+    out = encoded * (encoded > 0)  # relu, as Tensor.relu computes it
+    for layer in encoder.mlp.layers:
+        out = _linear(layer, out)
+    return out.reshape(encoder.num_tokens, encoder.d_model)
 
 
 def _cached_dup_flags(lm, encodings, ids: np.ndarray) -> np.ndarray:
@@ -232,12 +306,12 @@ def prompt_forward_encoded(model, encodings: Sequence, tile: int = 1) -> np.ndar
 
     token_vecs = lm.token_embedding.weight.data[ids]
     if model.prompt_encoder is not None and is_prompt.any():
-        prompt_vecs = model.prompt_encoder().data  # tiny (P, D) Tensor forward
+        prompt_vecs = prompt_matrix(model.prompt_encoder)
         gathered = prompt_vecs[prompt_idx.reshape(-1)].reshape(token_vecs.shape)
         token_vecs = np.where(is_prompt[:, :, None], gathered, token_vecs)
 
-    hidden = encoder_hidden(lm, _embed(lm, token_vecs, flags), pad_mask)
-    at_mask = hidden[np.arange(hidden.shape[0]), mask_positions]  # (B, D)
+    at_mask = encoder_hidden(lm, _embed(lm, token_vecs, flags), pad_mask,
+                             rows=mask_positions)  # (B, D)
     h = _layer_norm(lm.mlm_norm, _gelu(_linear(lm.mlm_transform, at_mask)))
     logits = h @ lm.token_embedding.weight.data.T + lm.mlm_bias.data
 

@@ -91,11 +91,15 @@ class MiniLM(Module):
 
     def encode(self, token_ids: np.ndarray,
                pad_mask: Optional[np.ndarray] = None,
-               inputs_embeds: Optional[Tensor] = None) -> Tensor:
-        """Contextual hidden states (B, T, D).
+               inputs_embeds: Optional[Tensor] = None,
+               rows: Optional[np.ndarray] = None) -> Tensor:
+        """Contextual hidden states (B, T, D), or (B, D) with ``rows``.
 
         ``inputs_embeds`` lets P-tuning splice trainable continuous prompt
         vectors directly into the embedding stream (paper Section 3.1).
+        ``rows`` (B,) returns only position ``rows[b]`` of each sequence,
+        and the last encoder layer runs only there (see
+        :meth:`TransformerEncoder.forward`).
         """
         if inputs_embeds is None:
             inputs_embeds = self.embed(token_ids)
@@ -103,7 +107,7 @@ class MiniLM(Module):
             token_ids = np.asarray(token_ids, dtype=np.int64)
         if pad_mask is None:
             pad_mask = token_ids == 0
-        return self.encoder(inputs_embeds, pad_mask=pad_mask)
+        return self.encoder(inputs_embeds, pad_mask=pad_mask, rows=rows)
 
     def embed_from_vectors(self, vectors: Tensor, positions: np.ndarray,
                            token_ids: Optional[np.ndarray] = None) -> Tensor:

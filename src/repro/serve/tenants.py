@@ -43,7 +43,7 @@ from ..autograd.tensor import get_default_dtype
 from ..core.peft import (
     ADAPTER_SLOTS, Adapter, SoftPrompt, attach_adapters, remove_adapters,
 )
-from ..infer.fastpath import prompt_forward_encoded
+from ..infer.fastpath import prompt_forward_encoded, prompt_matrix
 from ..obs import get_telemetry
 from .bundle import BundleError, _MANIFEST_FILE
 from .delta import DeltaBundle, backbone_fingerprint
@@ -362,8 +362,7 @@ class TenantRegistry:
 
     def _prompt_matrix(self, name: Optional[str]) -> np.ndarray:
         if name is None:
-            with no_grad():
-                return np.asarray(self._base_prompt_encoder().data)
+            return prompt_matrix(self._base_prompt_encoder)
         entry = self.entry(name)
         if not entry.fusable:
             raise TenantError(f"tenant {name!r} ({entry.peft}) cannot be "
