@@ -381,7 +381,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         max_batch_pairs=args.max_batch_pairs,
         token_budget=args.token_budget,
-        max_wait_s=args.max_wait_ms / 1000.0,
         cache_capacity=args.cache_capacity,
         default_top_k=args.top_k,
         fuse_tenants=not args.no_fuse_tenants,
@@ -743,8 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch-pairs", type=int, default=32)
     serve.add_argument("--token-budget", type=int, default=2048,
                        help="max (rows+1)*max_len tokens per micro-batch")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch formation deadline")
     serve.add_argument("--cache-capacity", type=int, default=8192)
     serve.add_argument("--top-k", type=int, default=5,
                        help="candidates returned by /match")

@@ -24,6 +24,16 @@ for op, in the same order. Guarantees:
   pseudo-labels, MC-EL2N scores and training trajectories are unchanged.
   The P-tuning prompt encoder runs as a numpy twin (``prompt_matrix``,
   bit-identical), and duplicate-token flags are memoized per encoding;
+* **computed once per weights** -- the (P, D) prompt matrix depends only
+  on the prompt encoder's parameters, so ``prompt_matrix`` memoizes it on
+  the encoder together with a copy of every parameter array and the
+  default dtype it was computed under. Each call compares that snapshot
+  with the live arrays (dtype and values, ``np.array_equal``) and
+  recomputes on any difference, so an in-place optimizer step, a
+  shared-memory weight adoption, ``load_state_dict`` or a default-dtype
+  switch can never be served a stale matrix. The comparison costs a
+  fraction of the BiLSTM it skips, and the memo is read-only so no caller
+  can corrupt it;
 * **less memory traffic** -- kernels run in place on owned temporaries
   (same operation order, so bit-identical results), q/k/v come from one
   fused (D, 3D) projection, the big attention matmuls write into
@@ -250,12 +260,24 @@ def prompt_matrix(encoder) -> np.ndarray:
     A P-tuning ``PromptEncoder`` (embeddings -> BiLSTM -> ReLU -> MLP) runs
     through numpy twins of its layers in the reference op order, so the
     result equals ``encoder().data`` bit for bit at a fraction of the
-    Tensor path's per-op cost. Any other prompt source (a ``SoftPrompt``,
-    a fused tenant stack) already is a plain matrix and is read as is.
+    Tensor path's per-op cost. The result is read-only and memoized on the
+    encoder until any parameter's dtype or value, or the default dtype,
+    changes (see the module docstring). Any other prompt source (a
+    ``SoftPrompt``, a fused tenant stack) already is a plain matrix and is
+    read as is.
     """
     lstm = getattr(encoder, "lstm", None)
     if lstm is None:
         return encoder().data
+    params = [param.data for param in encoder.parameters()]
+    dtype = get_default_dtype()
+    memo = getattr(encoder, "_prompt_matrix_memo", None)
+    if memo is not None:
+        memo_dtype, snapshot, matrix = memo
+        if memo_dtype is dtype and len(snapshot) == len(params) and all(
+                live.dtype == kept.dtype and np.array_equal(live, kept)
+                for live, kept in zip(params, snapshot)):
+            return matrix
     seq = encoder.embeddings.data.reshape(1, encoder.num_tokens,
                                           encoder.d_model)
     encoded = np.concatenate(
@@ -264,7 +286,10 @@ def prompt_matrix(encoder) -> np.ndarray:
     out = encoded * (encoded > 0)  # relu, as Tensor.relu computes it
     for layer in encoder.mlp.layers:
         out = _linear(layer, out)
-    return out.reshape(encoder.num_tokens, encoder.d_model)
+    out = out.reshape(encoder.num_tokens, encoder.d_model)
+    out.flags.writeable = False
+    encoder._prompt_matrix_memo = (dtype, [p.copy() for p in params], out)
+    return out
 
 
 def _cached_dup_flags(lm, encodings, ids: np.ndarray) -> np.ndarray:

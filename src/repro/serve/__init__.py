@@ -13,9 +13,9 @@ service (the deployment form real EM systems take):
   per-server via ``candidate_mode`` and flippable through
   ``POST /admin/candidates``;
 * :class:`MatchServer` -- bounded request queue, dynamic micro-batching
-  under a max-wait deadline and token budget, explicit
-  :class:`Overloaded` shedding, and atomic bundle hot-swap between
-  batches;
+  of whatever queued while the previous batch was scored (capped by rows
+  and a token budget), explicit :class:`Overloaded` shedding, and atomic
+  bundle hot-swap between batches;
 * :class:`ServingPool` -- N forked replica workers over one
   shared-memory weight map (:class:`SharedBundleWeights`), a load-aware
   front router with per-replica bounded queues and redispatch-on-death,

@@ -60,6 +60,7 @@ re-dispatches.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import itertools
 import multiprocessing as mp
@@ -68,6 +69,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -283,6 +285,35 @@ def _owned_shards(replica: int, replicas: int, shards: int) -> List[int]:
     return [s for s in range(shards) if s % replicas == replica]
 
 
+def _pin_blas_threads() -> Optional[int]:
+    """One BLAS thread in this process; returns the count read back.
+
+    A replica scores small micro-batches, and N replicas each running one
+    BLAS thread per core contend for the same cores. Scores do not move:
+    ``tests/serve/test_pool_swap.py`` replays every replica batch in the
+    unpinned test process bit for bit. Only the OpenBLAS bundled with
+    numpy's wheel is reachable; without it this does nothing and returns
+    None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            setter = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if setter is None:
+                continue
+            setter.argtypes = [ctypes.c_int]
+            setter(1)
+            getter = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            if getter is None:
+                return None
+            getter.restype = ctypes.c_int
+            return int(getter())
+    return None
+
+
 def _replica_main(conn, replica: int, bundle: ModelBundle,
                   store: SharedBundleWeights, config: ServerConfig,
                   pool_config: PoolConfig, journal: Sequence[dict],
@@ -314,6 +345,7 @@ def _replica_main(conn, replica: int, bundle: ModelBundle,
         child_tel = None
         _telemetry_module._ACTIVE = _telemetry_module.DISABLED
 
+    blas_threads = _pin_blas_threads()
     owned = _owned_shards(replica, pool_config.replicas, pool_config.shards)
     # child-side scheduler: queue bound >= the pool-wide bound, so parent
     # admission (and death re-dispatch) can never be shed inside a replica
@@ -496,6 +528,7 @@ def _replica_main(conn, replica: int, bundle: ModelBundle,
                 stats["replica"] = replica
                 stats["shards"] = sorted(owned)
                 stats["candidate_mode"] = mode
+                stats["blas_threads"] = blas_threads
                 send(("reply", qid, stats))
             elif kind == "batch_log":
                 _, qid = message
@@ -1439,7 +1472,7 @@ class ServingPool:
     # ------------------------------------------------------------------
     # Synchronous conveniences (mirror MatchServer's)
     # ------------------------------------------------------------------
-    def process_once(self, wait: bool = False) -> int:
+    def process_once(self) -> int:
         """Pool scheduling happens in the replicas; there is nothing to
         drive inline.  Exists for front-end compatibility."""
         return 0

@@ -9,12 +9,14 @@ scheduler -- either the background thread started by :meth:`start` or the
 caller itself via the synchronous :meth:`process_once` driver -- forms
 micro-batches:
 
-* the first queued request opens a batch and starts its **max-wait
-  deadline**; the batch closes when the deadline passes, when
-  ``max_batch_pairs`` rows are gathered, or when admitting the next
-  request would push ``rows x longest-encoding`` past ``token_budget``
-  (the same packing rule as :func:`repro.infer.engine.pack_buckets`,
-  which the engine re-applies inside the batch);
+* a batch is whatever is queued when the scheduler becomes free: the
+  requests that arrived while the previous batch was being scored. It
+  closes when the queue is empty, when ``max_batch_pairs`` rows are
+  gathered, or when admitting the next request would push ``rows x
+  longest-encoding`` past ``token_budget`` (the same packing rule as
+  :func:`repro.infer.engine.pack_buckets`, which the engine re-applies
+  inside the batch). There is no timer: an idle scheduler scores a lone
+  request at once, and batches grow with load on their own;
 * the scheduler snapshots ``(bundle, version)`` **once per batch** under
   the swap lock, so every request in a batch -- and therefore every
   response -- is attributable to exactly one model version even while
@@ -89,8 +91,6 @@ class ServerConfig:
     #: close a batch when rows x longest-encoding would exceed this
     #: (the engine re-buckets inside the batch under the same budget)
     token_budget: int = 2048
-    #: how long the first request of a batch waits for company (seconds)
-    max_wait_s: float = 0.002
     #: encoding-cache entries shared across batches and bundle versions
     cache_capacity: int = 8192
     #: top-k candidates a match query scores when the caller passes none
@@ -109,8 +109,6 @@ class ServerConfig:
             raise ValueError("max_batch_pairs must be >= 1")
         if self.token_budget < 1:
             raise ValueError("token_budget must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
 
 
 @dataclass
@@ -286,8 +284,8 @@ class MatchServer:
       ``PendingResponse.result()``;
     * **synchronous driver** -- skip ``start()`` and call
       :meth:`process_once` / :meth:`score_batch` / :meth:`match` from the
-      test or benchmark thread; batch formation is identical, minus the
-      waiting.
+      test or benchmark thread; batch formation is identical in both
+      modes.
     """
 
     def __init__(self, bundle: ModelBundle,
@@ -647,25 +645,20 @@ class MatchServer:
         except Exception:
             return False
 
-    def _form_batch(self, model, wait: bool) -> List[_Request]:
-        """Drain a micro-batch: first request opens it, the max-wait
-        deadline / row cap / token budget close it. FIFO order is kept; a
-        request that would blow the budget -- or that names a tenant the
-        open batch cannot share a forward pass with -- is pushed back (in
-        arrival order) for the next batch, and a request whose record
-        cannot be encoded is failed individually and skipped."""
+    def _form_batch(self, model) -> List[_Request]:
+        """Drain a micro-batch from what is queued now: an empty queue, the
+        row cap or the token budget closes it, and nothing waits for
+        requests yet to arrive. FIFO order is kept; a request that would
+        blow the budget -- or that names a tenant the open batch cannot
+        share a forward pass with -- is pushed back (in arrival order) for
+        the next batch, and a request whose record cannot be encoded is
+        failed individually and skipped."""
         cfg = self.config
         batch: List[_Request] = []
         deferred: List[_Request] = []
         longest = 0
-        deadline = None
         while len(batch) < cfg.max_batch_pairs:
             with self._cond:
-                if batch and not self._queue and deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    while remaining > 0 and not self._queue and self._running:
-                        self._cond.wait(remaining)
-                        remaining = deadline - time.monotonic()
                 if not self._queue:
                     break
                 request = self._queue.popleft()
@@ -681,8 +674,6 @@ class MatchServer:
                 break
             batch.append(request)
             longest = max(longest, length)
-            if deadline is None and wait:
-                deadline = time.monotonic() + cfg.max_wait_s
         if deferred:
             # back to the FRONT in original relative order: the next batch
             # opens with the oldest deferred request, so an incompatible
@@ -712,7 +703,7 @@ class MatchServer:
             return self.engine.predict_proba(model, pairs)
         return registry.fused_probs(self.engine, pairs, tenants)
 
-    def process_once(self, wait: bool = False) -> int:
+    def process_once(self) -> int:
         """Form and score one micro-batch inline; returns requests served.
 
         This is the synchronous driver: benchmarks and tests call it in a
@@ -720,7 +711,7 @@ class MatchServer:
         """
         bundle, version = self._snapshot()
         model = bundle.model
-        batch = self._form_batch(model, wait=wait)
+        batch = self._form_batch(model)
         if not batch:
             return 0
         formed = time.perf_counter()
@@ -860,7 +851,7 @@ class MatchServer:
                 if not self._running and not self._queue:
                     return
             try:
-                self.process_once(wait=True)
+                self.process_once()
             except Exception:
                 # process_once already failed the batch's pendings before
                 # re-raising, so those clients got the error; the scheduler

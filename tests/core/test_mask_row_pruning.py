@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import (
-    Dropout, DropoutPlan, TransformerEncoder, dropout_plan, gather_rows,
-    get_default_dtype, no_grad, set_default_dtype,
+    AdamW, Dropout, DropoutPlan, TransformerEncoder, dropout_plan,
+    gather_rows, get_default_dtype, no_grad, set_default_dtype,
 )
 from repro.autograd import layers
 from repro.core import (
@@ -215,6 +215,10 @@ def test_fused_soft_prompt_view(float64_mode, monkeypatch, pairs):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_numpy_prompt_encoder_twin_is_bit_identical(dtype):
+    """The numpy twin equals ``encoder().data`` bit for bit, and its memo
+    is served only while the weights and the default dtype stay the same:
+    an in-place AdamW step, ``load_state_dict`` and a default-dtype switch
+    each force a recompute."""
     previous = get_default_dtype()
     set_default_dtype(dtype)
     try:
@@ -222,15 +226,71 @@ def test_numpy_prompt_encoder_twin_is_bit_identical(dtype):
         rng = np.random.default_rng(1)
         for param in encoder.parameters():  # move off the initial values
             param.data[...] += 0.1 * rng.standard_normal(param.shape)
-        with no_grad():
-            reference = encoder().data
-        twin = fastpath.prompt_matrix(encoder)
-        assert twin.dtype == reference.dtype == dtype
-        np.testing.assert_array_equal(twin, reference)
-        soft = SoftPrompt(6, 32, init=reference)
+
+        def twin_of_reference():
+            with no_grad():
+                reference = encoder().data
+            twin = fastpath.prompt_matrix(encoder)
+            assert twin.dtype == reference.dtype
+            np.testing.assert_array_equal(twin, reference)
+            return twin
+
+        twin = twin_of_reference()
+        assert twin.dtype == dtype
+        assert fastpath.prompt_matrix(encoder) is twin
+        with pytest.raises(ValueError):
+            twin[0, 0] = 0.0  # read-only: no caller can corrupt the memo
+
+        # AdamW re-points every .data at a view of its flat buffer; the
+        # values are unchanged, so the memo still holds until the step
+        optimizer = AdamW(list(encoder.parameters()), lr=1e-2)
+        assert fastpath.prompt_matrix(encoder) is twin
+        encoder().sum().backward()
+        optimizer.step()
+        stepped = twin_of_reference()
+        assert not np.array_equal(stepped, twin)
+
+        state = encoder.state_dict()
+        encoder.load_state_dict({name: values + 0.01
+                                 for name, values in state.items()})
+        loaded = twin_of_reference()
+        assert not np.array_equal(loaded, stepped)
+
+        # a default-dtype switch alone changes the LSTM state's dtype: the
+        # memo is recomputed, equal to a memo-free encoder on the same
+        # arrays (the Tensor path casts every op, so it is no reference
+        # for mixed dtypes)
+        other = np.float64 if dtype == np.float32 else np.float32
+        set_default_dtype(other)
+        switched = fastpath.prompt_matrix(encoder)
+        assert switched is not loaded
+        fresh = PromptEncoder(6, 32)
+        for mine, theirs in zip(fresh.parameters(), encoder.parameters()):
+            mine.data = theirs.data.copy()
+        np.testing.assert_array_equal(switched,
+                                      fastpath.prompt_matrix(fresh))
+        # casting float32 weights to float64 keeps every value, so only
+        # the dtype comparison can tell this snapshot from the last one
+        encoder.load_state_dict(encoder.state_dict())
+        assert twin_of_reference().dtype == other
+
+        soft = SoftPrompt(6, 32, init=loaded)
         assert fastpath.prompt_matrix(soft) is soft.embeddings.data
     finally:
         set_default_dtype(previous)
+
+
+def test_prompt_forward_leaves_memo_unchanged(pairs):
+    model = make_model().eval()
+    encodings = encodings_of(model, pairs)
+    memo = fastpath.prompt_matrix(model.prompt_encoder)
+    kept = memo.copy()
+    with no_grad():
+        first = fastpath.prompt_forward_encoded(model, encodings)
+        second = fastpath.prompt_forward_encoded(model, encodings)
+    assert fastpath.prompt_matrix(model.prompt_encoder) is memo
+    np.testing.assert_array_equal(memo, kept)
+    np.testing.assert_array_equal(first, second)
 
 
 def test_fit_matches_full_last_layer(float64_mode, monkeypatch):

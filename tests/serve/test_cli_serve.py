@@ -16,7 +16,6 @@ class TestParser:
         assert args.max_queue == 256
         assert args.max_batch_pairs == 32
         assert args.token_budget == 2048
-        assert args.max_wait_ms == 2.0
         assert args.requests is None and args.catalog is None
 
     def test_serve_requires_bundle(self):

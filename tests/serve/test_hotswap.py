@@ -53,8 +53,7 @@ class TestInFlightConsistency:
         reports, every request answered exactly once."""
         bundle_a, bundle_b = two_bundles
         config = ServerConfig(max_batch_pairs=4, token_budget=512,
-                              max_queue=4096, max_wait_s=0.001,
-                              record_batches=True)
+                              max_queue=4096, record_batches=True)
         server = MatchServer(bundle_a, config)
         pairs = list(pairs)
 

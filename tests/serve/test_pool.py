@@ -2,6 +2,11 @@
 dispatch, explicit backpressure, shard-routed catalog ops, the serial
 fallback, and the shared-memory weight store underneath it all."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -160,6 +165,33 @@ class TestForkedPool:
         gone = pool.match(fresh, k=3, timeout=30.0)
         assert all(c.record.record_id != "pool-test-rec"
                    for c in gone.candidates)
+
+    def test_replicas_pin_one_blas_thread(self, bundle, tmp_path):
+        """With the thread variables unset, OpenBLAS starts one thread per
+        core; each replica pins itself to one after fork."""
+        bundle.save(tmp_path / "bundle")
+        script = ("import json, sys\n"
+                  "from repro.serve import ModelBundle\n"
+                  "from repro.serve.pool import PoolConfig, ServingPool\n"
+                  "bundle = ModelBundle.load(sys.argv[1])\n"
+                  "with ServingPool(bundle, PoolConfig(replicas=1)) as pool:\n"
+                  "    stats = pool.stats()\n"
+                  "print(json.dumps([stats['mode'], "
+                  "stats['replica_stats'][0]['blas_threads']]))\n")
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        env["PYTHONPATH"] = src
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "bundle")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        mode, threads = json.loads(done.stdout.splitlines()[-1])
+        assert mode == "pool"
+        if threads is None:
+            pytest.skip("numpy ships no OpenBLAS thread setter")
+        assert threads == 1
 
     def test_stats_counts_requests(self, pool, pairs):
         before = pool.stats()

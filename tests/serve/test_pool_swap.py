@@ -58,8 +58,7 @@ class TestPoolSwap:
         under the single bundle its responses name."""
         bundle_a, bundle_b = two_bundles
         config = ServerConfig(max_batch_pairs=4, token_budget=512,
-                              max_queue=4096, max_wait_s=0.001,
-                              record_batches=True)
+                              max_queue=4096, record_batches=True)
         pool = ServingPool(bundle_a, PoolConfig(replicas=2, shards=2,
                                                 server=config))
         pairs = list(pairs)

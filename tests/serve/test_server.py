@@ -1,5 +1,7 @@
 """MatchServer: micro-batch formation, bit-identity, backpressure."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def offline_engine(config: ServerConfig) -> InferenceEngine:
 class TestConfig:
     def test_invalid_knobs_rejected(self):
         for kwargs in ({"max_queue": 0}, {"max_batch_pairs": 0},
-                       {"token_budget": 0}, {"max_wait_s": -1}):
+                       {"token_budget": 0}):
             with pytest.raises(ValueError):
                 ServerConfig(**kwargs)
 
@@ -170,7 +172,7 @@ class TestThreadedMode:
             assert pending.result(timeout=1.0) is not None
 
     def test_stop_without_drain_fails_pending(self, bundle, pairs):
-        server = MatchServer(bundle, ServerConfig(max_wait_s=5.0))
+        server = MatchServer(bundle)
         # not started: queue requests, then stop without draining
         pending = server.submit(pairs[0])
         server.stop(drain=False)
@@ -178,12 +180,55 @@ class TestThreadedMode:
             pending.result(timeout=1.0)
 
 
+class TestScheduler:
+    """Batch formation never waits on a clock: a batch is what queued
+    while the previous one was scored. Driven by events, no sleeps."""
+
+    def test_lone_request_never_waits_on_a_timer(self, bundle, pairs):
+        timeouts = []
+
+        class RecordingCondition(threading.Condition):
+            def wait(self, timeout=None):
+                timeouts.append(timeout)
+                return super().wait(timeout)
+
+        server = MatchServer(bundle)
+        server._cond = RecordingCondition()
+        with server:
+            response = server.submit(pairs[0]).result(timeout=30.0)
+        assert response.batch_size == 1
+        assert all(timeout is None for timeout in timeouts), timeouts
+
+    def test_requests_queued_during_a_forward_share_the_next_batch(
+            self, bundle, pairs):
+        server = MatchServer(bundle, ServerConfig(max_batch_pairs=8))
+        real = server.engine.predict_proba
+        scoring, release = threading.Event(), threading.Event()
+
+        def gated(model, batch):
+            scoring.set()
+            assert release.wait(timeout=30.0)
+            return real(model, batch)
+
+        server.engine.predict_proba = gated
+        with server:
+            first = server.submit(pairs[0])
+            assert scoring.wait(timeout=30.0)
+            queued = [server.submit(pair) for pair in pairs[1:4]]
+            release.set()
+            alone = first.result(timeout=30.0)
+            together = [pending.result(timeout=30.0) for pending in queued]
+        assert alone.batch_size == 1
+        assert len({response.batch_id for response in together}) == 1
+        assert all(response.batch_size == 3 for response in together)
+
+
 class TestFailureContainment:
     """One bad request or batch must never take the scheduler down with it
     (REVIEW: a raising process_once used to kill the daemon thread)."""
 
     def test_scheduler_survives_batch_error(self, bundle, pairs):
-        server = MatchServer(bundle, ServerConfig(max_wait_s=0.0))
+        server = MatchServer(bundle)
         real = server.engine.predict_proba
         armed = {"boom": True}
 
