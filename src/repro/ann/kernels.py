@@ -24,34 +24,15 @@ between runs.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ..kernels import scratch_buf, topk_candidates
+
 #: rows of int8 codes dequantized per GEMM call; sized so one block of
 #: float32 scratch (BLOCK_ROWS x dim) stays comfortably inside L2/L3
 BLOCK_ROWS = 8192
-
-_scratch = threading.local()
-
-
-def _scratch_buf(key: str, shape: Tuple[int, ...],
-                 dtype=np.float32) -> np.ndarray:
-    """Reusable per-thread buffer (same idiom as ``fastpath._scratch_buf``).
-
-    The dequantized code block and the per-block score vector are the only
-    large temporaries of a probe; recycling them removes the alloc + page
-    fault cost from every query.
-    """
-    store = getattr(_scratch, "bufs", None)
-    if store is None:
-        store = _scratch.bufs = {}
-    buf = store.get(key)
-    if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-        buf = store[key] = np.empty(shape, dtype)
-    return buf
-
 
 # ----------------------------------------------------------------------
 # int8 symmetric quantization
@@ -101,7 +82,7 @@ def fused_scaled_dot(query: np.ndarray, codes: np.ndarray,
     if rows == 0:
         return out
     block = min(rows, BLOCK_ROWS)
-    deq = _scratch_buf("fused_deq", (block, codes.shape[1]))
+    deq = scratch_buf("fused_deq", (block, codes.shape[1]), np.float32)
     for start in range(0, rows, block):
         stop = min(start + block, rows)
         chunk = deq[: stop - start]
@@ -125,7 +106,7 @@ def gather_scaled_dot(query: np.ndarray, codes: np.ndarray,
     if m == 0:
         return out
     block = min(m, BLOCK_ROWS)
-    deq = _scratch_buf("gather_deq", (block, codes.shape[1]))
+    deq = scratch_buf("gather_deq", (block, codes.shape[1]), np.float32)
     for start in range(0, m, block):
         stop = min(start + block, m)
         chunk = deq[: stop - start]
@@ -136,22 +117,8 @@ def gather_scaled_dot(query: np.ndarray, codes: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Top-k selection and blocked merge
+# Blocked top-k merge
 # ----------------------------------------------------------------------
-def topk_candidates(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the top-k scores *including every tie at the k-th value*.
-
-    Returned unordered (``np.flatnonzero`` order); callers sort by
-    ``(-score, record_id)`` and cut to ``k``, which is what makes the
-    final ordering deterministic regardless of storage order.
-    """
-    n = len(scores)
-    if n <= k:
-        return np.arange(n)
-    kth = np.partition(scores, n - k)[n - k]
-    return np.flatnonzero(scores >= kth)
-
-
 def blocked_topk_dot(query: np.ndarray, codes: np.ndarray,
                      scales: np.ndarray, k: int,
                      rows: Optional[np.ndarray] = None

@@ -46,34 +46,14 @@ the recorded Tensor path, which remains the reference implementation.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..autograd.tensor import get_default_dtype
+from ..kernels import scratch_buf
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
-
-_scratch = threading.local()
-
-
-def _scratch_buf(key: str, shape, dtype) -> np.ndarray:
-    """Reusable per-thread output buffer for the large attention matmuls.
-
-    Allocating the (B, H, T, T) score array anew on every forward means a
-    multi-megabyte mmap plus first-touch page faults per batch; recycling
-    one buffer per (key, thread) removes that cost. GEMM with ``out=``
-    overwrites every element, so reuse is bit-transparent.
-    """
-    store = getattr(_scratch, "bufs", None)
-    if store is None:
-        store = _scratch.bufs = {}
-    buf = store.get(key)
-    if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-        buf = store[key] = np.empty(shape, dtype)
-    return buf
-
 
 def _apply_dropout(module, x: np.ndarray, rows: Optional[np.ndarray] = None,
                    seq_len: Optional[int] = None) -> np.ndarray:
@@ -164,14 +144,14 @@ def _attention(attn, x: np.ndarray, score_mask: Optional[np.ndarray],
         q = _linear(attn.q_proj, x[np.arange(batch), rows])
         q, tag = q.reshape(batch, heads, 1, d_head), "_rows"
     q_len = q.shape[2]
-    scores = _scratch_buf("scores" + tag, (batch, heads, q_len, seq), x.dtype)
+    scores = scratch_buf("scores" + tag, (batch, heads, q_len, seq), x.dtype)
     np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
     scores *= x.dtype.type(attn.scale)
     if score_mask is not None:
         np.copyto(scores, x.dtype.type(-1e9), where=score_mask)
     weights = _apply_dropout(attn.attn_dropout, _softmax(scores), rows, seq)
-    context = _scratch_buf("context" + tag, (batch, heads, q_len, d_head),
-                           x.dtype)
+    context = scratch_buf("context" + tag, (batch, heads, q_len, d_head),
+                          x.dtype)
     np.matmul(weights, v, out=context)
     context = context.transpose(0, 2, 1, 3)
     return _linear(attn.out_proj, context.reshape(batch, q_len, attn.d_model))

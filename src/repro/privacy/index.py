@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..data.records import EntityRecord
+from ..kernels import top_ranked
 from ..obs import get_telemetry
 from .encoder import ClkEncoder
 from .kernels import dice_topk, popcount
@@ -217,8 +218,7 @@ class ClkCandidateIndex:
         if self.min_score is not None:
             found = [(rid, score) for rid, score in found
                      if score >= self.min_score]
-        found.sort(key=lambda item: (-item[1], item[0]))
-        return found[:k]
+        return top_ranked(found, k)
 
     def candidates(self, record: EntityRecord, k: Optional[int] = None
                    ) -> List[Tuple[EntityRecord, float]]:

@@ -28,10 +28,11 @@ the same order) -- the property tests assert exact equality, not closeness.
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..kernels import scratch_buf, topk_candidates
 
 #: bits per packed word
 WORD_BITS = 64
@@ -50,20 +51,6 @@ _S1, _S2, _S4, _S56 = (np.uint64(s) for s in (1, 2, 4, 56))
 #: 256-entry byte lookup table -- the classic LUT popcount, kept as an
 #: independent implementation to cross-check the bit-twiddling ladder
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-_scratch = threading.local()
-
-
-def _scratch_buf(key: str, shape: Tuple[int, ...], dtype=np.uint64) -> np.ndarray:
-    """Reusable per-thread buffer (same idiom as ``ann.kernels._scratch_buf``)."""
-    store = getattr(_scratch, "bufs", None)
-    if store is None:
-        store = _scratch.bufs = {}
-    buf = store.get(key)
-    if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-        buf = store[key] = np.empty(shape, dtype)
-    return buf
-
 
 # ----------------------------------------------------------------------
 # Popcount
@@ -129,7 +116,7 @@ def dice_scores(query: np.ndarray, filters: np.ndarray,
     if rows == 0:
         return out
     block = min(rows, BLOCK_ROWS)
-    inter = _scratch_buf("dice_and", (block, filters.shape[1]))
+    inter = scratch_buf("dice_and", (block, filters.shape[1]), np.uint64)
     for start in range(0, rows, block):
         stop = min(start + block, rows)
         chunk = inter[: stop - start]
@@ -140,20 +127,6 @@ def dice_scores(query: np.ndarray, filters: np.ndarray,
         seg[:] = 0.0
         np.divide(2.0 * shared, denom, out=seg, where=denom > 0)
     return out
-
-
-def topk_candidates(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the top-k scores *including every tie at the k-th value*.
-
-    Same contract as :func:`repro.ann.kernels.topk_candidates` (duplicated
-    so ``repro.privacy`` imports without the encoder/LM stack): returned
-    unordered, callers sort by ``(-score, record_id)`` and cut to ``k``.
-    """
-    n = len(scores)
-    if n <= k:
-        return np.arange(n)
-    kth = np.partition(scores, n - k)[n - k]
-    return np.flatnonzero(scores >= kth)
 
 
 def dice_topk(query: np.ndarray, filters: np.ndarray, k: int,

@@ -19,8 +19,9 @@ service (the deployment form real EM systems take):
 * :class:`ServingPool` -- N forked replica workers over one
   shared-memory weight map (:class:`SharedBundleWeights`), a load-aware
   front router with per-replica bounded queues and redispatch-on-death,
-  and a hash-sharded candidate layer (:class:`ShardedServingIndex` /
-  :class:`ShardedDenseCandidateIndex`);
+  and a hash-sharded candidate layer (:class:`ShardedIndex`): every
+  replica -- and the serial in-process fallback -- is a
+  :class:`MatchServer` over the shards it owns;
 * :mod:`repro.serve.http` -- a stdlib HTTP front end plus a socket-free
   JSONL request driver; both drive a server or a pool interchangeably.
 
@@ -44,7 +45,10 @@ from .server import (
     MatchServer, Overloaded, PendingMatch, PendingResponse, ScoreResponse,
     ServerConfig,
 )
-from .shard import ShardedServingIndex, merge_topk, shard_of
+from .shard import (
+    ShardedDenseCandidateIndex, ShardedIndex, ShardedServingIndex,
+    merge_topk, shard_of,
+)
 from .weights import SharedBundleWeights
 
 __all__ = [
@@ -52,7 +56,7 @@ __all__ = [
     "DeltaBundle", "DELTA_SCHEMA_VERSION", "backbone_fingerprint",
     "TenantRegistry", "TenantEntry", "TenantError", "UnknownTenant",
     "ServingIndex", "DenseCandidateIndex",
-    "ShardedServingIndex", "ShardedDenseCandidateIndex",
+    "ShardedIndex", "ShardedServingIndex", "ShardedDenseCandidateIndex",
     "shard_of", "merge_topk",
     "MatchServer", "ServerConfig", "Overloaded",
     "ServingPool", "PoolConfig", "SharedBundleWeights",
@@ -72,10 +76,6 @@ def __getattr__(name):  # PEP 562
         from .dense import DenseCandidateIndex
 
         return DenseCandidateIndex
-    if name == "ShardedDenseCandidateIndex":
-        from .shard import ShardedDenseCandidateIndex
-
-        return ShardedDenseCandidateIndex
     if name in ("ServingPool", "PoolConfig"):
         from . import pool
 

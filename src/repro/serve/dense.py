@@ -47,6 +47,12 @@ class DenseCandidateIndex:
         self._lock = threading.RLock()
         self._records: Dict[str, EntityRecord] = {}
 
+    @property
+    def kind(self) -> str:
+        """``dense:<ann kind>``, e.g. ``dense:ivf`` (``/healthz``)."""
+        ann = type(self.index).__name__.replace("Index", "").lower()
+        return f"dense:{ann}"
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:

@@ -40,11 +40,11 @@ Two transports over one JSON protocol:
   - ``GET /slo`` -- per-tenant SLO compliance, drift-monitor state and
     request-trace aggregates (gated like ``/admin/*``)
 
-Both transports are duck-typed over the server argument: a
-:class:`~repro.serve.server.MatchServer` and a
-:class:`~repro.serve.pool.ServingPool` expose the same submit/score/admin
-surface, so ``repro serve --replicas N`` swaps the pool in without
-touching this module's request path.
+Both transports take a :class:`~repro.serve.server.MatchServer` or a
+:class:`~repro.serve.pool.ServingPool`: the two expose the same
+submit/score/admin surface and the same ``health`` / ``metrics_snapshot``
+/ ``slo_snapshot`` observability methods, so ``repro serve --replicas N``
+swaps the pool in without touching this module's request path.
 
 Records use the dataset-bundle JSON shape (``{"id", "kind", "values"}``).
 A shed request answers ``503 {"status": "overloaded"}`` -- explicit
@@ -308,12 +308,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/healthz":
             # ungated by design: a load balancer probes this; the payload
             # is liveness topology (versions, counts), not model surface
-            payload = {"status": "ok",
-                       "model_version": self.match_server.version}
-            health = getattr(self.match_server, "health", None)
-            if callable(health):
-                payload.update(health())
-            self._reply(200, payload)
+            self._reply(200, {"status": "ok", **self.match_server.health()})
         elif self.path == "/stats":
             self._reply(200, self.match_server.stats())
         elif self.path == "/metrics":
@@ -323,19 +318,12 @@ class _Handler(BaseHTTPRequestHandler):
                     "detail": "metrics denied: present X-Admin-Token, or "
                               "connect from loopback when no token is set"})
                 return
-            telemetry = get_telemetry()
-            snapshot = getattr(self.match_server, "metrics_snapshot", None)
-            if callable(snapshot):
-                # pool-aware path: router + replica registries, merged
-                view = snapshot()
-                self._reply(200, {"status": "ok",
-                                  "enabled": telemetry.enabled,
-                                  "metrics": view["merged"],
-                                  "sources": view["sources"]})
-            else:
-                self._reply(200, {"status": "ok",
-                                  "enabled": telemetry.enabled,
-                                  "metrics": telemetry.metrics.snapshot()})
+            # a pool merges its router and replica registries
+            view = self.match_server.metrics_snapshot()
+            self._reply(200, {"status": "ok",
+                              "enabled": get_telemetry().enabled,
+                              "metrics": view["merged"],
+                              "sources": view["sources"]})
         elif self.path == "/slo":
             if not self._admin_allowed():
                 self._reply(403, {
@@ -343,12 +331,8 @@ class _Handler(BaseHTTPRequestHandler):
                     "detail": "slo denied: present X-Admin-Token, or "
                               "connect from loopback when no token is set"})
                 return
-            snapshot = getattr(self.match_server, "slo_snapshot", None)
-            if not callable(snapshot):
-                self._reply(404, {"status": "error",
-                                  "detail": "server has no SLO tracking"})
-                return
-            self._reply(200, {"status": "ok", **snapshot()})
+            self._reply(200, {"status": "ok",
+                              **self.match_server.slo_snapshot()})
         else:
             self._reply(404, {"status": "error", "detail": "unknown path"})
 

@@ -37,6 +37,9 @@ from ..obs import get_telemetry
 class ServingIndex:
     """Inverted token index over a mutable catalog of entity records."""
 
+    #: what ``/healthz`` names this candidate generator
+    kind = "sparse:token-overlap"
+
     def __init__(self, threshold: float = 0.0, min_shared_tokens: int = 1,
                  default_k: int = 5) -> None:
         if not 0.0 <= threshold <= 1.0:

@@ -1,12 +1,13 @@
 """ServingPool: replicated, sharded online matching.
 
 One :class:`~repro.serve.server.MatchServer` is a single process with one
-model copy and one catalog.  The pool keeps that server *as the replica
+model copy and one catalog.  The pool keeps that server *as the executor
 unit* and adds the multi-worker topology around it:
 
-* **N replica workers** -- forked processes, each running the unmodified
-  ``MatchServer`` scheduler loop over the same inference engine.  Model
-  weights are **not** copied per replica: every replica maps the
+* **N replica workers** -- forked processes, each running a
+  :class:`ReplicaMatchServer`: the unmodified ``MatchServer`` scheduler
+  loop and inference engine over the catalog shards that replica owns.
+  Model weights are **not** copied per replica: every replica maps the
   published :class:`~repro.serve.bundle.ModelBundle` weights zero-copy
   from the :class:`~repro.serve.weights.SharedBundleWeights` store
   (double-buffered shm slots built on
@@ -23,33 +24,37 @@ unit* and adds the multi-worker topology around it:
   deliberately does not tokenize), then by replica index.  Admission is
   explicit: when the pool-wide queue bound or every per-replica queue is
   full, ``submit`` raises :class:`~repro.serve.server.Overloaded` -- the
-  same shed-don't-buffer contract as the single server.
+  same shed-don't-buffer contract as the single server.  The router sends
+  a replica three message kinds: ``score`` (one admitted request),
+  ``call`` (one method of the replica's server, from a fixed allowlist:
+  catalog writes, candidates, CLK search, candidate mode, stats, batch
+  log, metrics) and ``stop``.
 
 * **Fault containment** -- a replica that dies mid-flight is detected by
   its pipe EOF; its in-flight requests are *re-dispatched* to surviving
   replicas (scoring is pure, so re-execution is safe and an accepted
   request is never lost), and the replica is respawned: the fresh fork
-  inherits the current catalog journal and adopts the current weight
+  inherits the current catalog journals and adopts the current weight
   version, so the pool heals without draining.
 
 * **A sharded candidate layer** -- the catalog is hash-partitioned by
   ``record_id`` (:func:`~repro.serve.shard.shard_of`); shard ``s`` lives
-  inside replica ``s % N``, so postings and ANN rows scale out with the
-  pool instead of piling into one process.  A match query scatters to
-  every live replica (each answers for its own shards, dense queries are
-  embedded once in the router), and the router merges the partial top-k
-  lists in the deterministic ``(-score, record_id)`` order
-  (:func:`~repro.serve.shard.merge_topk`).  ``catalog_add`` /
-  ``catalog_remove`` route to the owning shard's replica; the router
-  additionally keeps a per-shard **journal** of raw records -- the
-  respawn source -- while the index structures themselves (postings,
-  int8 ANN rows) exist only in the owning replica.
+  inside replica ``s % N``, whose server keeps its indexes as
+  :class:`~repro.serve.shard.ShardedIndex` es over its own shards.  A
+  match query scatters to every live replica (dense queries are embedded
+  once in the router) and the router merges the partial top-k lists in
+  the deterministic ``(-score, record_id)`` order.  Catalog writes route
+  to the owning replica; the router keeps per-shard **journals** of raw
+  records and packed CLK filters -- the respawn source.  CLK shards hold
+  filters only: a ``clk_encoder`` runs in the router, once per record.
 
 Where fork (or real shared memory) is unavailable the pool degrades to a
-**serial fallback**: one in-process ``MatchServer`` over the same
-:class:`~repro.serve.shard.ShardedServingIndex` /
-:class:`~repro.serve.shard.ShardedDenseCandidateIndex` structures, same
-API, zero processes -- mirroring :mod:`repro.parallel.pool`.
+**serial fallback**: one in-process ``MatchServer`` built by the same
+helper as a replica's, owning every shard, driven through the same
+per-executor call -- mirroring :mod:`repro.parallel.pool`.  Only
+admission (that server admits and resolves its own requests, so
+``response.replica`` stays ``None``), ``swap``, ``stop`` and the ``mode``
+label differ.
 
 Everything is observable through :mod:`repro.obs`: per-replica queue
 depth gauges (``pool.replica<i>.outstanding``), dispatch latency
@@ -76,6 +81,7 @@ import numpy as np
 
 from ..data.dataset import CandidatePair
 from ..data.records import EntityRecord
+from ..kernels import top_ranked
 from ..obs import get_telemetry, merge_snapshots
 from ..obs.serving import (
     DriftMonitor, RequestTracer, SloTracker, TraceContext, stitch_trace,
@@ -85,10 +91,28 @@ from .bundle import ModelBundle
 from .index import ServingIndex
 from .server import (
     MatchServer, Overloaded, PendingMatch, PendingResponse, ScoreResponse,
-    ServerConfig,
+    ServerConfig, clk_response,
 )
-from .shard import ShardedServingIndex, merge_topk, shard_of
+from .shard import ShardedIndex, merge_topk, shard_of
 from .weights import SharedBundleWeights
+
+#: the executor server methods a ``call`` may run; anything else is refused
+_CALLS = frozenset({
+    "catalog_add", "catalog_remove", "catalog_add_clk", "candidates",
+    "clk_candidates", "set_candidate_mode", "stats", "batch_log",
+    "metrics_snapshot"})
+
+#: candidate mode -> the MatchServer argument that holds its index
+_INDEX_ARGS = {"sparse": "index", "dense": "dense_index", "clk": "clk_index"}
+
+
+def _invoke(server: MatchServer, method: str, args: tuple):
+    """Run one allowlisted call on an executor's server (``batch_log`` is
+    an attribute: the call returns a copy of it)."""
+    if method not in _CALLS:
+        raise ValueError(f"{method!r} is not an executor call")
+    target = getattr(server, method)
+    return target(*args) if callable(target) else list(target)
 
 
 @dataclass
@@ -226,19 +250,23 @@ class ReplicaMatchServer(MatchServer):
     is redirected: it adopts the newest published version (rebinding the
     parameter views, threshold and bundle name) and reports that version,
     which is what extends the exactly-one-version-per-batch guarantee
-    across the whole pool.
+    across the whole pool.  ``indexes`` are the MatchServer index
+    arguments; in a pool they are sharded over the replica's own shards.
     """
 
     def __init__(self, bundle: ModelBundle, config: ServerConfig,
                  store: SharedBundleWeights, replica: int,
-                 tenants=None) -> None:
+                 tenants=None, **indexes) -> None:
         # monitor=False: the router owns the pool-level SLO tracker and
         # drift monitor (it sees every response); a replica-local view
         # would double-count and fragment the per-tenant windows
-        super().__init__(bundle, config, tenants=tenants, monitor=False)
+        super().__init__(bundle, config, tenants=tenants, monitor=False,
+                         **indexes)
         self._store = store
         self._replica_index = replica
         self._seen_version = 0
+        #: numpy BLAS threads after the worker pinned them (None: unknown)
+        self.blas_threads: Optional[int] = None
         with self._swap_lock:
             self._adopt_locked()
 
@@ -277,6 +305,18 @@ class ReplicaMatchServer(MatchServer):
         raise RuntimeError("replica servers adopt published weights; "
                            "swap through the pool")
 
+    def stats(self) -> dict:
+        stats = super().stats()
+        stats.update(replica=self._replica_index,
+                     shards=sorted(self.index.shards),
+                     blas_threads=self.blas_threads)
+        return stats
+
+    def metrics_snapshot(self) -> dict:
+        """This process's registry with its samples, so the router's merged
+        quantiles are exact (``{}`` with telemetry off)."""
+        return get_telemetry().metrics.snapshot(include_samples=True)
+
 
 # ----------------------------------------------------------------------
 # Replica worker process
@@ -314,19 +354,14 @@ def _pin_blas_threads() -> Optional[int]:
     return None
 
 
-def _replica_main(conn, replica: int, bundle: ModelBundle,
-                  store: SharedBundleWeights, config: ServerConfig,
-                  pool_config: PoolConfig, journal: Sequence[dict],
-                  encoder, dense_spec: Optional[dict],
-                  candidate_mode: str, clk_spec: Optional[dict] = None,
-                  clk_journal: Optional[Sequence[dict]] = None) -> None:
-    """Worker entry point (fork start method: arguments arrive by
-    inheritance, nothing is pickled).
+def _replica_main(conn, replica: int, pool: "ServingPool") -> None:
+    """Worker entry point (fork start method: the pool, its journals and
+    the weight store arrive by inheritance, nothing is pickled).
 
-    Runs three threads: the inherited MatchServer scheduler, a collector
-    that streams resolved responses back in admission order, and the main
-    thread serving the control pipe (score admission, candidate scatter,
-    catalog ops for the shards this replica owns, stats, stop).
+    Runs three threads: the replica server's scheduler, a collector that
+    streams resolved responses back in admission order, and the main
+    thread serving the pipe: ``score`` admission, ``call`` (one
+    allowlisted method of the server) and ``stop``.
     """
     # detach the parent's telemetry session -- the run log must have
     # exactly one writer (the router) -- but keep observing: when the
@@ -346,56 +381,25 @@ def _replica_main(conn, replica: int, bundle: ModelBundle,
         _telemetry_module._ACTIVE = _telemetry_module.DISABLED
 
     blas_threads = _pin_blas_threads()
-    owned = _owned_shards(replica, pool_config.replicas, pool_config.shards)
+    config = pool.config
     # child-side scheduler: queue bound >= the pool-wide bound, so parent
     # admission (and death re-dispatch) can never be shed inside a replica
     child_config = dataclasses.replace(
-        config, max_queue=max(config.max_queue * 2,
-                              pool_config.max_outstanding * 2))
+        config.server, max_queue=max(config.server.max_queue * 2,
+                                     config.max_outstanding * 2))
     tenants = None
-    if pool_config.tenants_dir is not None:
+    if config.tenants_dir is not None:
         from .tenants import TenantRegistry
 
         # deltas are KBs each: every replica keeps its own registry over
         # the shared directory (only the backbone rides in shm)
-        tenants = TenantRegistry(capacity=pool_config.tenant_capacity,
-                                 tenants_dir=pool_config.tenants_dir)
-    server = ReplicaMatchServer(bundle, child_config, store, replica,
-                                tenants=tenants)
-
-    # build the owned shards from the journal snapshot inherited at fork
-    sparse: Dict[int, ServingIndex] = {}
-    dense: Dict[int, object] = {}
-    for shard in owned:
-        index = ServingIndex(default_k=config.default_top_k)
-        index.add_many(journal[shard].values())
-        sparse[shard] = index
-    if dense_spec is not None:
-        from .dense import DenseCandidateIndex
-
-        for shard in owned:
-            dindex = DenseCandidateIndex(
-                encoder, kind=dense_spec["kind"],
-                default_k=config.default_top_k, seed=dense_spec["seed"],
-                **dense_spec.get("kwargs", {}))
-            dindex.add_many(list(journal[shard].values()))
-            if dense_spec.get("train") and len(dindex):
-                dindex.train()
-            dense[shard] = dindex
-    clk: Dict[int, object] = {}
-    if clk_spec is not None:
-        from ..privacy import ClkCandidateIndex
-
-        # filter-only shards: the replica never holds the salt or any
-        # plaintext for the CLK catalog -- entries arrive (and are
-        # rebuilt on respawn) as packed uint64 filters + ids
-        for shard in owned:
-            cindex = ClkCandidateIndex(words=clk_spec["words"],
-                                       default_k=config.default_top_k)
-            if clk_journal is not None:
-                cindex.add_clk_many(clk_journal[shard].items())
-            clk[shard] = cindex
-    mode = candidate_mode
+        tenants = TenantRegistry(capacity=config.tenant_capacity,
+                                 tenants_dir=config.tenants_dir)
+    # the journals were inherited from a fork taken under the catalog lock
+    server = pool._build_server(replica, ReplicaMatchServer,
+                                config=child_config, store=pool._store,
+                                replica=replica, tenants=tenants)
+    server.blas_threads = blas_threads
 
     send_lock = threading.Lock()
 
@@ -431,32 +435,15 @@ def _replica_main(conn, replica: int, bundle: ModelBundle,
     collector.start()
     server.start()
 
-    def metrics_snapshot() -> dict:
-        # samples ride along so the router's merged quantiles are exact
-        return child_tel.metrics.snapshot(include_samples=True)
-
     push_halt = threading.Event()
-    if child_tel is not None and pool_config.metrics_interval_s > 0:
+    if child_tel is not None and config.metrics_interval_s > 0:
         def push_metrics() -> None:
-            interval = max(pool_config.metrics_interval_s, 0.05)
+            interval = max(config.metrics_interval_s, 0.05)
             while not push_halt.wait(interval):
-                send(("metrics_push", replica, metrics_snapshot()))
+                send(("metrics_push", replica, server.metrics_snapshot()))
 
         threading.Thread(target=push_metrics, name="repro-pool-metrics",
                          daemon=True).start()
-
-    def shard_candidates(record, k, vector) -> list:
-        partials = []
-        for shard in owned:
-            if mode == "dense" and dense:
-                index = dense[shard]
-                if vector is not None:
-                    partials.append(index.candidates_from_vector(vector, k))
-                else:
-                    partials.append(index.candidates(record, k))
-            else:
-                partials.append(sparse[shard].candidates(record, k))
-        return merge_topk(partials, k)
 
     try:
         while True:
@@ -476,67 +463,13 @@ def _replica_main(conn, replica: int, bundle: ModelBundle,
                           f"{type(error).__name__}: {error}"))
                 else:
                     results.put((req_id, pending))
-            elif kind == "candidates":
-                _, qid, record, k, vector = message
+            elif kind == "call":
+                _, qid, method, args = message
                 try:
-                    send(("reply", qid, shard_candidates(record, k, vector)))
+                    result = _invoke(server, method, args)
                 except Exception as error:
-                    send(("reply", qid, {"error": repr(error)}))
-            elif kind == "catalog_add":
-                _, qid, per_shard = message
-                fresh = 0
-                for shard, records in per_shard.items():
-                    fresh += sparse[shard].add_many(records)
-                    if shard in dense:
-                        dense[shard].add_many(records)
-                send(("reply", qid, fresh))
-            elif kind == "catalog_remove":
-                _, qid, per_shard = message
-                removed = 0
-                for shard, record_ids in per_shard.items():
-                    for record_id in record_ids:
-                        if sparse[shard].remove(record_id):
-                            removed += 1
-                        if shard in dense:
-                            dense[shard].remove(record_id)
-                        if shard in clk:
-                            clk[shard].remove(record_id)
-                send(("reply", qid, removed))
-            elif kind == "clk_add":
-                _, qid, per_shard = message
-                fresh = 0
-                for shard, entries in per_shard.items():
-                    if shard in clk:
-                        fresh += clk[shard].add_clk_many(entries)
-                send(("reply", qid, fresh))
-            elif kind == "clk_match":
-                _, qid, query_clk, k = message
-                try:
-                    partials = [clk[shard].search(query_clk, k)
-                                for shard in owned if shard in clk]
-                    merged = sorted(
-                        (pair for partial in partials for pair in partial),
-                        key=lambda item: (-item[1], item[0]))[:k]
-                    send(("reply", qid, merged))
-                except Exception as error:
-                    send(("reply", qid, {"error": repr(error)}))
-            elif kind == "candidate_mode":
-                mode = message[1]
-            elif kind == "stats":
-                _, qid = message
-                stats = server.stats()
-                stats["replica"] = replica
-                stats["shards"] = sorted(owned)
-                stats["candidate_mode"] = mode
-                stats["blas_threads"] = blas_threads
-                send(("reply", qid, stats))
-            elif kind == "batch_log":
-                _, qid = message
-                send(("reply", qid, list(server.batch_log)))
-            elif kind == "metrics":
-                _, qid = message
-                send(("reply", qid,
-                      metrics_snapshot() if child_tel is not None else {}))
+                    result = RuntimeError(f"{type(error).__name__}: {error}")
+                send(("reply", qid, result))
             elif kind == "stop":
                 _, qid, drain = message
                 push_halt.set()
@@ -547,7 +480,7 @@ def _replica_main(conn, replica: int, bundle: ModelBundle,
                        "responses": server.response_count}
                 if child_tel is not None:
                     # final snapshot: counts from the drain are included
-                    ack["metrics"] = metrics_snapshot()
+                    ack["metrics"] = server.metrics_snapshot()
                 send(("reply", qid, ack))
                 break
     finally:
@@ -584,14 +517,12 @@ class ServingPool:
         self.config = config if config is not None else PoolConfig()
         self._bundle = bundle
         self._encoder = encoder
-        self._dense_spec = None if encoder is None else {
-            "kind": dense_kind, "seed": dense_seed,
-            "kwargs": dict(dense_kwargs or {}), "train": dense_train}
+        self._dense_train = dense_train
         #: CLK (PPRL) serving: ``clk_encoder`` enables the single-party
         #: shape (the router encodes its own plaintext catalog adds);
         #: ``clk_words`` alone enables cross-party mode, where the pool
-        #: only ever handles pre-encoded filters + ids. Either way the
-        #: replicas hold filter-only shards -- no salt, no plaintext.
+        #: only ever handles pre-encoded filters + ids. Either way every
+        #: executor holds filter-only shards -- no salt, no plaintext.
         self._clk_encoder = clk_encoder
         if clk_encoder is not None:
             clk_inferred = clk_encoder.config.words
@@ -600,17 +531,27 @@ class ServingPool:
                     f"clk_words={clk_words} conflicts with clk_encoder "
                     f"({clk_inferred} words)")
             clk_words = clk_inferred
-        self._clk_spec = None if clk_words is None else {
-            "words": int(clk_words)}
         self.clk_threshold = clk_threshold
-        if candidate_mode not in ("sparse", "dense", "clk"):
-            raise ValueError(
-                "candidate_mode must be 'sparse', 'dense', or 'clk'")
-        if candidate_mode == "dense" and encoder is None:
-            raise ValueError("dense candidate_mode needs an encoder")
-        if candidate_mode == "clk" and self._clk_spec is None:
-            raise ValueError(
-                "clk candidate_mode needs clk_words or a clk_encoder")
+        #: candidate mode -> factory of one shard of that mode's index;
+        #: every executor shards its indexes over these
+        k = self.config.server.default_top_k
+        self._shard_makers = {"sparse": lambda: ServingIndex(default_k=k)}
+        if encoder is not None:
+            from .dense import DenseCandidateIndex
+
+            dense_kwargs = dict(dense_kwargs or {})
+            self._shard_makers["dense"] = lambda: DenseCandidateIndex(
+                encoder, kind=dense_kind, default_k=k, seed=dense_seed,
+                **dense_kwargs)
+        if clk_words is not None:
+            from ..privacy import ClkCandidateIndex
+
+            self._shard_makers["clk"] = lambda: ClkCandidateIndex(
+                words=int(clk_words), default_k=k)
+        #: what ``/healthz`` names each configured candidate generator
+        self._kinds = {mode: make().kind
+                       for mode, make in self._shard_makers.items()}
+        self._check_mode(candidate_mode)
         self._candidate_mode = candidate_mode
 
         # router-side tenant registry: in forked mode it only validates
@@ -624,15 +565,14 @@ class ServingPool:
                 capacity=self.config.tenant_capacity,
                 tenants_dir=self.config.tenants_dir)
 
-        #: per-shard journal of raw records: the source respawned replicas
-        #: rebuild their shards from (the postings/ANN structures
-        #: themselves live only inside the owning replica)
+        #: per-shard journal of raw records: the source every executor
+        #: builds its shards from at start and on respawn (the postings/ANN
+        #: structures themselves live only inside the owning executor)
         self._catalog: List[Dict[str, EntityRecord]] = [
             {} for _ in range(self.config.shards)]
         #: per-shard journal of packed CLK filters (same role as
-        #: ``_catalog`` for the filter-only path: respawned replicas
-        #: rebuild their CLK shards from it); guarded by the same lock so
-        #: a fork snapshots both journals consistently
+        #: ``_catalog`` for the filter-only path); guarded by the same
+        #: lock so a fork snapshots both journals consistently
         self._clk_catalog: List[Dict[str, object]] = [
             {} for _ in range(self.config.shards)]
         self._catalog_lock = threading.RLock()
@@ -647,8 +587,11 @@ class ServingPool:
         self._wake_recv = None
         self._wake_send = None
         self._store: Optional[SharedBundleWeights] = None
-        self._server: Optional[MatchServer] = None   # serial fallback
+        self._server: Optional[MatchServer] = None   # the serial executor
         self._serial = False
+        #: executors splitting the shards: the replicas, or one serial server
+        self._executors = self.config.replicas
+        self._version = 1
         self._started = False
         self._closed = False
         self._stopping = False      # suppresses respawn/redispatch
@@ -665,7 +608,7 @@ class ServingPool:
         # router-owned observability: the router sees every admission,
         # response, shed and error, so pool-level SLO/drift tracking lives
         # here (replicas run monitor=False); the serial fallback hands
-        # these same objects to its in-process server
+        # these same objects -- and the tracer -- to its in-process server
         self._slo = slo if slo is not None else SloTracker()
         self._drift = drift if drift is not None else DriftMonitor()
         self.request_tracer = RequestTracer()
@@ -691,6 +634,7 @@ class ServingPool:
         self._closed = False
         self._stopping = False
         self._collector_halt = False
+        self._version = 1
         if fork_available():
             store = SharedBundleWeights(
                 self._bundle.model, replicas=self.config.replicas,
@@ -702,75 +646,59 @@ class ServingPool:
                                     live=())  # nobody to guard against yet
             else:  # no /dev/shm: publishes would be invisible after fork
                 store.close()
+        self._serial = self._store is None
         if self._store is None:
-            self._start_serial()
+            self._executors = 1  # one in-process server owns every shard
+            with self._catalog_lock:
+                self._server = self._build_server(
+                    0, MatchServer, config=self.config.server,
+                    tenants=self._tenants, slo=self._slo, drift=self._drift)
+            self._server.request_tracer = self.request_tracer
+            self._server.start()
         else:
-            self._start_forked()
+            self._executors = self.config.replicas
+            ctx = mp.get_context("fork")
+            self._wake_recv, self._wake_send = ctx.Pipe(duplex=False)
+            self._replicas = [self._spawn_replica(index)
+                              for index in range(self.config.replicas)]
+            self._collector = threading.Thread(target=self._collect_loop,
+                                               name="repro-pool-router",
+                                               daemon=True)
+            self._collector.start()
         self._started = True
         return self
 
-    def _start_serial(self) -> None:
-        self._serial = True
-        index = ShardedServingIndex(self.config.shards,
-                                    default_k=self.config.server.default_top_k)
-        dense_index = None
-        if self._encoder is not None:
-            from .shard import ShardedDenseCandidateIndex
-
-            spec = self._dense_spec
-            dense_index = ShardedDenseCandidateIndex(
-                self._encoder, self.config.shards, kind=spec["kind"],
-                default_k=self.config.server.default_top_k,
-                seed=spec["seed"], **spec["kwargs"])
-        clk_index = None
-        if self._clk_spec is not None:
-            from ..privacy import ClkCandidateIndex
-
-            clk_index = ClkCandidateIndex(
-                words=self._clk_spec["words"], encoder=self._clk_encoder,
-                default_k=self.config.server.default_top_k)
-            with self._catalog_lock:
-                entries = [(rid, filt) for shard in self._clk_catalog
-                           for rid, filt in shard.items()]
-            clk_index.add_clk_many(entries)
-        self._server = MatchServer(self._bundle, self.config.server,
-                                   index=index, dense_index=dense_index,
-                                   clk_index=clk_index,
-                                   clk_threshold=self.clk_threshold,
-                                   candidate_mode=self._candidate_mode,
-                                   tenants=self._tenants,
-                                   slo=self._slo, drift=self._drift)
-        with self._catalog_lock:
-            records = [record for shard in self._catalog
-                       for record in shard.values()]
-        if records:
-            self._server.catalog_add(records)
-            if dense_index is not None and self._dense_spec.get("train"):
-                dense_index.train()
-        self._server.start()
-
-    def _start_forked(self) -> None:
-        ctx = mp.get_context("fork")
-        self._wake_recv, self._wake_send = ctx.Pipe(duplex=False)
-        self._replicas = [self._spawn_replica(index)
-                          for index in range(self.config.replicas)]
-        self._collector = threading.Thread(target=self._collect_loop,
-                                           name="repro-pool-router",
-                                           daemon=True)
-        self._collector.start()
+    def _build_server(self, executor: int, make, **kwargs) -> MatchServer:
+        """``make`` (MatchServer or ReplicaMatchServer) over sharded
+        indexes of the shards ``executor`` owns, filled from the journals:
+        run it under the catalog lock, or in a fork taken under it."""
+        owned = _owned_shards(executor, self._executors, self.config.shards)
+        indexes = {mode: ShardedIndex(make_shard, self.config.shards, owned)
+                   for mode, make_shard in self._shard_makers.items()}
+        records = [record for shard in owned
+                   for record in self._catalog[shard].values()]
+        indexes["sparse"].add_many(records)
+        if "dense" in indexes:
+            indexes["dense"].add_many(records)
+            if self._dense_train:
+                indexes["dense"].train()
+        if "clk" in indexes:
+            indexes["clk"].add_clk_many(
+                entry for shard in owned
+                for entry in self._clk_catalog[shard].items())
+        kwargs.update({_INDEX_ARGS[mode]: index
+                       for mode, index in indexes.items()})
+        return make(self._bundle, clk_threshold=self.clk_threshold,
+                    candidate_mode=self._candidate_mode, **kwargs)
 
     def _spawn_replica(self, index: int) -> _Replica:
         ctx = mp.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()
-        # hold the catalog lock across the fork so the journal the child
-        # inherits is not mid-mutation
+        # hold the catalog lock across the fork so the journals the child
+        # inherits are not mid-mutation
         with self._catalog_lock:
             proc = ctx.Process(
-                target=_replica_main,
-                args=(child_conn, index, self._bundle, self._store,
-                      self.config.server, self.config, self._catalog,
-                      self._encoder, self._dense_spec, self._candidate_mode,
-                      self._clk_spec, self._clk_catalog),
+                target=_replica_main, args=(child_conn, index, self),
                 daemon=True, name=f"repro-pool-replica-{index}")
             proc.start()
         child_conn.close()
@@ -819,8 +747,9 @@ class ServingPool:
         self._stopping = True
         # the collector keeps running here: it must still deliver the
         # replicas' final responses and the stop acks
-        acks = self._scatter_control(("stop", None, drain),
-                                     timeout=max(timeout, 1.0))
+        acks = self._gather("stop", {replica.index: (drain,)
+                                     for replica in self._replicas},
+                            timeout=max(timeout, 1.0))
         # best-effort: a wedged replica is terminated below. Acks that did
         # arrive carry each replica's final metrics snapshot -- harvest
         # them so a post-stop metrics_snapshot() still sums the whole run
@@ -891,10 +820,10 @@ class ServingPool:
                      tenant: Optional[str] = None) -> List[PendingResponse]:
         """All-or-nothing admission of a request group (a match query's
         candidate fan-out is one group, like the single server's)."""
-        if tenant is not None and not self._serial:
-            # validate at the router, against a paths-only registry: an
-            # unknown tenant must fail fast in the caller, not surface as
-            # an opaque error reply from a replica
+        if tenant is not None:
+            # validate at the router: an unknown tenant must fail fast in
+            # the caller, not surface as an opaque error reply from a
+            # replica (forked replicas hold their own registries)
             registry = self._tenants
             if registry is None or not registry.has(tenant):
                 from .tenants import UnknownTenant
@@ -979,7 +908,7 @@ class ServingPool:
     def submit_match(self, record: EntityRecord,
                      k: Optional[int] = None,
                      tenant: Optional[str] = None) -> PendingMatch:
-        """Scatter the candidate query across every replica's shards,
+        """Scatter the candidate query across every executor's shards,
         merge the per-shard top-k, then admit one score request per
         candidate (atomically, like the single server)."""
         if self._candidate_mode == "clk":
@@ -988,10 +917,13 @@ class ServingPool:
             raise ValueError(
                 "clk candidate mode serves clk_match queries only; "
                 "plaintext match needs candidate_mode sparse or dense")
-        if self._serial:
-            return self._server.submit_match(record, k, tenant=tenant)
         k = self.config.server.default_top_k if k is None else int(k)
-        candidates = self._gather_candidates(record, k)
+        vector = None
+        if self._candidate_mode == "dense":
+            # embed once in the router; every shard re-ranks this vector
+            vector = self._encoder.encode_record(record)
+        candidates = merge_topk(
+            self._call("candidates", (record, k, vector)).values(), k)
         if not candidates:
             return PendingMatch(record.record_id, [])
         pairs = [CandidatePair(record, candidate)
@@ -1008,74 +940,59 @@ class ServingPool:
         partials with the deterministic ``(-score, id)`` rule, flag
         matches at ``clk_threshold``.  Requests and replies carry only
         filter bytes, ids, and scores."""
-        from .server import ClkCandidate, ClkMatchResponse
-
-        if self._clk_spec is None:
-            raise ValueError("no clk index configured")
-        if self._serial:
-            return self._server.clk_match(record_id, clk, k)
+        self._check_mode("clk")
         k = self.config.server.default_top_k if k is None else int(k)
         started = time.perf_counter()
-        clk = np.asarray(clk, dtype=np.uint64)
-        replies = self._scatter_control(
-            ("clk_match", None, clk, k),
-            timeout=self.config.gather_timeout_s)
-        partials = [payload for payload in replies.values()
-                    if isinstance(payload, list)]
-        if len(partials) < len(replies) or not replies:
-            tel = get_telemetry()
-            if tel.enabled:
-                tel.metrics.counter("pool.partial_gathers").inc()
-        merged = sorted(
-            ((str(rid), float(score))
-             for partial in partials for rid, score in partial),
-            key=lambda item: (-item[1], item[0]))[:k]
+        partials = self._call("clk_candidates",
+                              (np.asarray(clk, dtype=np.uint64), k))
+        merged = top_ranked((hit for partial in partials.values()
+                             for hit in partial), k)
         self.request_count += 1
         self.response_count += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.counter("privacy.clk.requests").inc()
-            tel.metrics.quantiles("privacy.clk.match_seconds").observe(
-                time.perf_counter() - started)
-            tel.metrics.histogram("privacy.clk.candidates").observe(
-                len(merged))
-        return ClkMatchResponse(
-            record_id=record_id,
-            candidates=[ClkCandidate(rid, score,
-                                     score >= self.clk_threshold)
-                        for rid, score in merged],
-            threshold=self.clk_threshold)
+        return clk_response(record_id, merged, self.clk_threshold, started)
 
-    def _gather_candidates(self, record: EntityRecord, k: int
-                           ) -> List[Tuple[EntityRecord, float]]:
-        vector = None
-        if self._candidate_mode == "dense" and self._encoder is not None:
-            # embed once in the router; every shard re-ranks this vector
-            vector = self._encoder.encode_record(record)
-        replies = self._scatter_control(
-            ("candidates", None, record, k, vector),
+    def _call(self, method: str, args: tuple = (),
+              owners: Optional[Dict[int, tuple]] = None) -> Dict[int, object]:
+        """Run the executor method ``method`` and gather its results by
+        executor index: with ``args`` on every live executor, or on each
+        executor in ``owners`` with that executor's own argument tuple.
+
+        The in-process server answers inline.  A forked replica that
+        raises, dies or misses ``gather_timeout_s`` is missing from the
+        result (counted as ``pool.partial_gathers``)."""
+        if self._serial:
+            calls = owners.items() if owners is not None else [(0, args)]
+            return {index: _invoke(self._server, method, call_args)
+                    for index, call_args in calls}
+        if owners is None:
+            with self._lock:
+                owners = {replica.index: args for replica in self._replicas
+                          if replica.live}
+        replies = self._gather("call", {
+            index: (method, call_args)
+            for index, call_args in owners.items()},
             timeout=self.config.gather_timeout_s)
-        partials = [payload for payload in replies.values()
-                    if isinstance(payload, list)]
-        if len(partials) < len(replies) or not replies:
+        results = {index: reply for index, reply in replies.items()
+                   if not isinstance(reply, Exception)}
+        if len(results) < len(owners):
             tel = get_telemetry()
             if tel.enabled:
                 tel.metrics.counter("pool.partial_gathers").inc()
-        return merge_topk(partials, k)
+        return results
 
-    def _scatter_control(self, template: tuple, timeout: float
-                         ) -> Dict[int, object]:
-        """Send ``template`` (with the qid filled into slot 1) to every
-        live replica and gather one reply per survivor."""
+    def _gather(self, kind: str, payloads: Dict[int, tuple],
+                timeout: float) -> Dict[int, object]:
+        """Send ``(kind, qid, *payload)`` to each live replica named in
+        ``payloads`` and gather one reply per survivor."""
         with self._lock:
-            live = [replica for replica in self._replicas if replica.live]
+            live = [replica for replica in self._replicas
+                    if replica.live and replica.index in payloads]
             qid = next(self._req_ids)
             gather = _ReplyGather(replica.index for replica in live)
             self._gathers[qid] = gather
-        message = (template[0], qid) + template[2:]
         for replica in live:
             try:
-                replica.send(message)
+                replica.send((kind, qid) + payloads[replica.index])
             except (BrokenPipeError, OSError):
                 self._on_replica_death(replica)
         replies = gather.wait(timeout)
@@ -1282,11 +1199,7 @@ class ServingPool:
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
-        if self._serial:
-            return self._server.version
-        if self._store is not None:
-            return self._store.version
-        return 1
+        return self._version
 
     @property
     def bundle(self) -> ModelBundle:
@@ -1297,16 +1210,17 @@ class ServingPool:
         atomically flips every replica at its next batch boundary."""
         with self._swap_lock:
             if self._serial:
-                self._bundle = bundle
-                return self._server.swap(bundle)
-            if self._store is None:
-                raise RuntimeError("pool is not started")
-            with self._lock:
-                live = [replica.index for replica in self._replicas
-                        if replica.live]
-            version = self._store.publish(bundle.model, bundle.name,
-                                          bundle.threshold, live=live)
+                version = self._server.swap(bundle)
+            else:
+                if self._store is None:
+                    raise RuntimeError("pool is not started")
+                with self._lock:
+                    live = [replica.index for replica in self._replicas
+                            if replica.live]
+                version = self._store.publish(bundle.model, bundle.name,
+                                              bundle.threshold, live=live)
             self._bundle = bundle
+            self._version = version
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.counter("pool.swaps").inc()
@@ -1318,53 +1232,57 @@ class ServingPool:
     # ------------------------------------------------------------------
     @property
     def candidate_mode(self) -> str:
-        if self._serial and self._server is not None:
-            return self._server.candidate_mode
         return self._candidate_mode
 
-    def set_candidate_mode(self, mode: str) -> str:
-        """Flip the candidate generator pool-wide; replicas adopt it for
-        every subsequent scatter (in-flight gathers finish on the old)."""
-        if mode not in ("sparse", "dense", "clk"):
+    def _check_mode(self, mode: str) -> None:
+        if mode not in _INDEX_ARGS:
             raise ValueError(
                 "candidate_mode must be 'sparse', 'dense', or 'clk'")
-        if mode == "dense" and self._encoder is None:
-            raise ValueError("no dense index configured")
-        if mode == "clk" and self._clk_spec is None:
-            raise ValueError("no clk index configured")
-        if self._serial:
-            self._server.set_candidate_mode(mode)
-            self._candidate_mode = mode
-            return mode
+        if mode not in self._kinds:
+            raise ValueError(f"no {mode} index configured")
+
+    def set_candidate_mode(self, mode: str) -> str:
+        """Flip the candidate generator pool-wide; every executor has
+        adopted it when this returns (in-flight gathers finish on the
+        old one)."""
+        self._check_mode(mode)
         self._candidate_mode = mode
-        with self._lock:
-            live = [replica for replica in self._replicas if replica.live]
-        for replica in live:
-            try:
-                replica.send(("candidate_mode", mode))
-            except (BrokenPipeError, OSError):
-                self._on_replica_death(replica)
+        if self._started:
+            self._call("set_candidate_mode", (mode,))
         tel = get_telemetry()
         if tel.enabled:
             tel.event("pool.candidate_mode", mode=mode)
         return mode
+
+    def _owner(self, shard: int) -> int:
+        return shard % self._executors
+
+    def _route(self, method: str, per_owner: Dict[int, list]) -> None:
+        """Apply per-owner catalog writes and wait for the acks
+        (read-your-writes for subsequent matches).  A dead owner is
+        skipped: its respawn rebuilds from the journal, which the caller
+        has already updated."""
+        if self._started and per_owner:
+            self._call(method, owners={owner: (items,) for owner, items
+                                       in per_owner.items()})
 
     def catalog_size(self) -> int:
         with self._catalog_lock:
             return sum(len(shard) for shard in self._catalog)
 
     def catalog_add(self, records) -> int:
-        """Route records to their owning shards (journal + live replica);
+        """Route records to their owning shards (journal + live executor);
         returns the number of ids new to the catalog.
 
         With a ``clk_encoder`` configured (single-party mode) each record
         is also encoded *here, once, router-side* and the filter routed to
-        the owning CLK shard -- replicas never need the salt."""
+        the owning CLK shard -- executors never need the salt."""
         records = list(records)
-        clk_per_shard: Dict[int, list] = {}
+        filters = None
         if self._clk_encoder is not None and records:
             filters = self._clk_encoder.encode_records(records)
-        per_shard: Dict[int, List[EntityRecord]] = {}
+        per_owner: Dict[int, List[EntityRecord]] = {}
+        clk_per_owner: Dict[int, list] = {}
         fresh = 0
         with self._catalog_lock:
             for i, record in enumerate(records):
@@ -1372,45 +1290,34 @@ class ServingPool:
                 if record.record_id not in self._catalog[shard]:
                     fresh += 1
                 self._catalog[shard][record.record_id] = record
-                per_shard.setdefault(shard, []).append(record)
-                if self._clk_encoder is not None:
+                per_owner.setdefault(self._owner(shard), []).append(record)
+                if filters is not None:
                     self._clk_catalog[shard][record.record_id] = filters[i]
-                    clk_per_shard.setdefault(shard, []).append(
+                    clk_per_owner.setdefault(self._owner(shard), []).append(
                         (record.record_id, filters[i]))
-        if self._serial and self._server is not None:
-            self._server.catalog_add(records)
-        elif self._started:
-            self._route_catalog("catalog_add", per_shard)
-            if clk_per_shard:
-                self._route_catalog("clk_add", clk_per_shard)
+        self._route("catalog_add", per_owner)
+        self._route("catalog_add_clk", clk_per_owner)
         return fresh
 
     def catalog_add_clk(self, entries) -> int:
         """Route pre-encoded ``(record_id, packed filter)`` entries to
-        their owning CLK shards (journal + live replica); returns the
+        their owning CLK shards (journal + live executor); returns the
         number of new ids.  The cross-party ingest path: no plaintext
         exists anywhere in this flow."""
-        if self._clk_spec is None:
-            raise ValueError("no clk index configured")
-        entries = [(str(rid), np.asarray(filt, dtype=np.uint64))
-                   for rid, filt in entries]
-        per_shard: Dict[int, list] = {}
+        self._check_mode("clk")
+        per_owner: Dict[int, list] = {}
         fresh = 0
         with self._catalog_lock:
             for record_id, filt in entries:
+                record_id = str(record_id)
+                filt = np.asarray(filt, dtype=np.uint64)
                 shard = shard_of(record_id, self.config.shards)
                 if record_id not in self._clk_catalog[shard]:
                     fresh += 1
                 self._clk_catalog[shard][record_id] = filt
-                per_shard.setdefault(shard, []).append((record_id, filt))
-        if self._serial and self._server is not None:
-            self._server.catalog_add_clk(
-                pair for pairs in per_shard.values() for pair in pairs)
-        elif self._started:
-            self._route_catalog("clk_add", per_shard)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.counter("privacy.clk.catalog_adds").inc()
+                per_owner.setdefault(self._owner(shard), []).append(
+                    (record_id, filt))
+        self._route("catalog_add_clk", per_owner)
         return fresh
 
     def clk_catalog_size(self) -> int:
@@ -1419,7 +1326,7 @@ class ServingPool:
 
     def catalog_remove(self, record_ids) -> int:
         removed = 0
-        per_shard: Dict[int, List[str]] = {}
+        per_owner: Dict[int, List[str]] = {}
         with self._catalog_lock:
             for record_id in record_ids:
                 shard = shard_of(record_id, self.config.shards)
@@ -1428,52 +1335,16 @@ class ServingPool:
                                                     None) is not None
                 if plain or filt:
                     removed += 1
-                per_shard.setdefault(shard, []).append(record_id)
-        if self._serial and self._server is not None:
-            self._server.catalog_remove(
-                [rid for rids in per_shard.values() for rid in rids])
-        elif self._started:
-            self._route_catalog("catalog_remove", per_shard)
+                per_owner.setdefault(self._owner(shard), []).append(
+                    record_id)
+        self._route("catalog_remove", per_owner)
         return removed
-
-    def _route_catalog(self, op: str, per_shard: Dict[int, list]) -> None:
-        """Forward per-shard catalog mutations to the owning replicas and
-        wait for their acks (read-your-writes for subsequent matches).  A
-        dead owner is skipped: its respawn rebuilds from the journal,
-        which was already updated."""
-        by_replica: Dict[int, Dict[int, list]] = {}
-        for shard, payload in per_shard.items():
-            owner = shard % self.config.replicas
-            by_replica.setdefault(owner, {})[shard] = payload
-        gathers = []
-        with self._lock:
-            live = {replica.index: replica for replica in self._replicas
-                    if replica.live}
-        for owner, shard_payload in by_replica.items():
-            replica = live.get(owner)
-            if replica is None:
-                continue
-            with self._lock:
-                qid = next(self._req_ids)
-                gather = _ReplyGather((owner,))
-                self._gathers[qid] = gather
-            try:
-                replica.send((op, qid, shard_payload))
-                gathers.append((qid, gather))
-            except (BrokenPipeError, OSError):
-                with self._lock:
-                    self._gathers.pop(qid, None)
-                self._on_replica_death(replica)
-        for qid, gather in gathers:
-            gather.wait(self.config.gather_timeout_s)
-            with self._lock:
-                self._gathers.pop(qid, None)
 
     # ------------------------------------------------------------------
     # Synchronous conveniences (mirror MatchServer's)
     # ------------------------------------------------------------------
     def process_once(self) -> int:
-        """Pool scheduling happens in the replicas; there is nothing to
+        """Pool scheduling happens in the executors; there is nothing to
         drive inline.  Exists for front-end compatibility."""
         return 0
 
@@ -1512,18 +1383,13 @@ class ServingPool:
     # Introspection
     # ------------------------------------------------------------------
     def batch_logs(self) -> Dict[int, list]:
-        """Per-replica micro-batch logs (requires ``record_batches``);
+        """Per-executor micro-batch logs (requires ``record_batches``);
         the pool benchmark replays these offline for the bit-identity
         contract."""
-        if self._serial:
-            return {0: list(self._server.batch_log)}
-        replies = self._scatter_control(("batch_log", None),
-                                        timeout=self.config.gather_timeout_s)
-        return {replica: payload for replica, payload in replies.items()
-                if isinstance(payload, list)}
+        return self._call("batch_log")
 
     # ------------------------------------------------------------------
-    # Observability surfaces (duck-typed: MatchServer offers the same)
+    # Observability surfaces (MatchServer offers the same three)
     # ------------------------------------------------------------------
     def health(self) -> dict:
         """Cheap liveness payload for ``GET /healthz``: no scatter, no
@@ -1535,12 +1401,12 @@ class ServingPool:
                            for replica in self._replicas}
             depth = len(self._inflight)
         payload = {
-            "mode": "serial" if self._serial else "pool",
+            "mode": "serial" if self.serial else "pool",
             "model_version": self.version,
             "bundle": self._bundle.name,
             "catalog_size": self.catalog_size(),
-            "candidate_mode": self.candidate_mode,
-            "candidate_index": self._candidate_index_kind(),
+            "candidate_mode": self._candidate_mode,
+            "candidate_index": self._kinds[self._candidate_mode],
             "queue_depth": depth,
             "replicas": {
                 "configured": self.config.replicas,
@@ -1550,7 +1416,7 @@ class ServingPool:
                 "respawns": self.respawn_count,
             },
         }
-        if self._clk_spec is not None:
+        if "clk" in self._kinds:
             payload["clk_catalog_size"] = self.clk_catalog_size()
         if self._tenants is not None:
             tstats = self._tenants.stats()
@@ -1561,55 +1427,37 @@ class ServingPool:
             }
         return payload
 
-    def _candidate_index_kind(self) -> str:
-        """Human-readable kind of the index behind ``candidate_mode``
-        (lock-free, mirrors ``MatchServer._candidate_index_kind``)."""
-        mode = self.candidate_mode
-        if mode == "dense":
-            kind = self._dense_spec["kind"] if self._dense_spec else "?"
-            return f"dense:{kind}"
-        if mode == "clk":
-            return "clk"
-        return "sparse:token-overlap"
-
     def slo_snapshot(self) -> dict:
         """Per-tenant SLO compliance plus drift state for ``GET /slo``."""
-        tracer = self.request_tracer
-        if self._serial and self._server is not None \
-                and self._server.request_tracer is not None:
-            # the in-process fallback server stitches its own traces (it
-            # shares the pool's SLO/drift objects, so those are one view)
-            tracer = self._server.request_tracer
         return {
             "slo": self._slo.snapshot(),
             "drift": self._drift.snapshot(),
-            "traces": tracer.snapshot(),
+            "traces": self.request_tracer.snapshot(),
         }
 
     def metrics_snapshot(self, pull: bool = True) -> dict:
         """Pool-wide merged metrics: the router's registry plus the most
-        recent snapshot of every replica, merged per metric kind.
+        recent snapshot of every forked replica, merged per metric kind
+        (the serial server shares the router's registry).
 
-        ``pull=True`` (the default) scatters a ``metrics`` control
-        message first so the merge reflects right-now counts instead of
+        ``pull=True`` (the default) asks every live replica for its
+        snapshot first so the merge reflects right-now counts instead of
         the last periodic push; pass ``False`` for a cheap cached read.
         """
         tel = get_telemetry()
         router = tel.metrics.snapshot(include_samples=True) \
             if tel.enabled else {}
         sources: Dict[str, dict] = {"router": router}
-        if not self._serial:
-            if pull and self._started and not self._closed:
-                replies = self._scatter_control(
-                    ("metrics", None), timeout=self.config.gather_timeout_s)
-                with self._metrics_lock:
-                    for index, snapshot in replies.items():
-                        if isinstance(snapshot, dict):
-                            self._replica_metrics[f"replica{index}"] = \
-                                snapshot
+        replicas = {replica.index: () for replica in self._replicas
+                    if replica.live}
+        if pull and replicas and not self._closed:
+            replies = self._call("metrics_snapshot", owners=replicas)
             with self._metrics_lock:
-                sources.update({label: dict(snapshot) for label, snapshot
-                                in self._replica_metrics.items()})
+                for index, snapshot in replies.items():
+                    self._replica_metrics[f"replica{index}"] = snapshot
+        with self._metrics_lock:
+            sources.update({label: dict(snapshot) for label, snapshot
+                            in self._replica_metrics.items()})
         merged = merge_snapshots(sources, strict=False)
         return {"merged": merged,
                 "sources": dict(sorted(sources.items()))}
@@ -1622,12 +1470,12 @@ class ServingPool:
                     if replica.live]
             depth = len(self._inflight)
         stats = {
-            "mode": "serial" if self._serial else "pool",
+            "mode": "serial" if self.serial else "pool",
             "replicas": self.config.replicas,
             "shards": self.config.shards,
             "live": live,
             "model_version": self.version,
-            "candidate_mode": self.candidate_mode,
+            "candidate_mode": self._candidate_mode,
             "queue_depth": depth,
             "outstanding": outstanding,
             "requests": self.request_count,
@@ -1637,18 +1485,13 @@ class ServingPool:
             "deaths": self.death_count,
             "respawns": self.respawn_count,
             "catalog_records": self.catalog_size(),
+            "replica_stats": dict(sorted(self._call("stats").items())),
         }
-        if self._clk_spec is not None:
+        if "clk" in self._kinds:
             stats["clk_catalog_records"] = self.clk_catalog_size()
             stats["clk_threshold"] = self.clk_threshold
-        if self._serial and self._server is not None:
-            stats["server"] = self._server.stats()
-            stats["requests"] = self._server.request_count
-            stats["responses"] = self._server.response_count
-            stats["shed"] = self._server.shed_count
-        elif self._started:
-            replies = self._scatter_control(
-                ("stats", None), timeout=self.config.gather_timeout_s)
-            stats["replica_stats"] = {index: payload for index, payload
-                                      in sorted(replies.items())}
+        if self._serial:
+            # the in-process server admits and answers its own requests
+            for key in ("requests", "responses", "shed"):
+                stats[key] += stats["replica_stats"][0][key]
         return stats

@@ -195,6 +195,22 @@ class ClkMatchResponse:
         return [c for c in self.candidates if c.is_match]
 
 
+def clk_response(record_id: str, found: Sequence[Tuple[str, float]],
+                 threshold: float, started: float) -> ClkMatchResponse:
+    """Dice hits as a response, matches flagged at ``threshold``; records
+    the ``privacy.clk.*`` metrics of a query that began at ``started``."""
+    tel = get_telemetry()
+    if tel.enabled:
+        tel.metrics.counter("privacy.clk.requests").inc()
+        tel.metrics.quantiles("privacy.clk.match_seconds").observe(
+            time.perf_counter() - started)
+        tel.metrics.histogram("privacy.clk.candidates").observe(len(found))
+    return ClkMatchResponse(
+        record_id=record_id, threshold=threshold,
+        candidates=[ClkCandidate(rid, score, score >= threshold)
+                    for rid, score in found])
+
+
 class PendingResponse:
     """A one-shot future for a queued request.
 
@@ -424,16 +440,16 @@ class MatchServer:
             return self.clk_index
         return self.index
 
-    def _candidate_index_kind(self) -> str:
-        """Human-readable kind of the index behind ``candidate_mode``
-        (lock-free: healthz includes it on every probe)."""
-        if self._candidate_mode == "dense":
-            ann = type(self.dense_index.index).__name__ \
-                if self.dense_index is not None else "?"
-            return f"dense:{ann.replace('Index', '').lower()}"
-        if self._candidate_mode == "clk":
-            return "clk"
-        return "sparse:token-overlap"
+    def candidates(self, record: EntityRecord, k: Optional[int] = None,
+                   vector: Optional[np.ndarray] = None
+                   ) -> List[Tuple[EntityRecord, float]]:
+        """Top-k ``(record, block score)`` from the index behind
+        ``candidate_mode``. ``vector`` is ``record`` already embedded (a
+        pool router embeds a dense query once for all its executors)."""
+        k = self.config.default_top_k if k is None else int(k)
+        if vector is not None and self._candidate_mode == "dense":
+            return self.dense_index.candidates_from_vector(vector, k)
+        return self._candidate_index().candidates(record, k)
 
     def catalog_add(self, records) -> int:
         """Add records to every configured candidate index (sparse always,
@@ -498,6 +514,15 @@ class MatchServer:
             raise ValueError("no clk index configured")
         return len(self.clk_index)
 
+    def clk_candidates(self, clk, k: Optional[int] = None
+                       ) -> List[Tuple[str, float]]:
+        """Dice top-k ``(record_id, score)`` over the CLK catalog for one
+        packed query filter (no counting: :meth:`clk_match` counts)."""
+        if self.clk_index is None:
+            raise ValueError("no clk index configured")
+        k = self.config.default_top_k if k is None else k
+        return self.clk_index.search(np.asarray(clk, dtype=np.uint64), k)
+
     def clk_match(self, record_id: str, clk, k: Optional[int] = None
                   ) -> "ClkMatchResponse":
         """Dice top-k over the CLK catalog for one pre-encoded query.
@@ -507,25 +532,11 @@ class MatchServer:
         microseconds), and candidates at or above ``clk_threshold`` are
         flagged as matches. Request and response carry only ids, filter
         bytes, and scores."""
-        if self.clk_index is None:
-            raise ValueError("no clk index configured")
-        k = self.config.default_top_k if k is None else k
         started = time.perf_counter()
-        found = self.clk_index.search(np.asarray(clk, dtype=np.uint64), k)
-        candidates = [
-            ClkCandidate(rid, score, score >= self.clk_threshold)
-            for rid, score in found]
+        found = self.clk_candidates(clk, k)
         self.request_count += 1
         self.response_count += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.counter("privacy.clk.requests").inc()
-            tel.metrics.quantiles("privacy.clk.match_seconds").observe(
-                time.perf_counter() - started)
-            tel.metrics.histogram("privacy.clk.candidates").observe(
-                len(candidates))
-        return ClkMatchResponse(record_id=record_id, candidates=candidates,
-                                threshold=self.clk_threshold)
+        return clk_response(record_id, found, self.clk_threshold, started)
 
     # ------------------------------------------------------------------
     # Admission
@@ -591,8 +602,7 @@ class MatchServer:
         """Queue a match query: top-k index candidates, one score request
         each (admitted atomically). No candidates -> an empty, already
         resolved response."""
-        k = self.config.default_top_k if k is None else k
-        candidates = self._candidate_index().candidates(record, k)
+        candidates = self.candidates(record, k)
         if not candidates:
             return PendingMatch(record.record_id, [])
         pairs = [CandidatePair(record, candidate)
@@ -755,6 +765,9 @@ class MatchServer:
                 predictions[row] = (int(probs[row].argmax()) if cut is None
                                     else int(probs[row, 1] > cut))
         cpu_share = forward_cpu / len(batch) if tracing else 0.0
+        # counted before any pending resolves: a client holding its
+        # response never reads a stale stats()["responses"]
+        self.response_count += len(batch)
         for row, request in enumerate(batch):
             trace_payload = None
             if tracing:
@@ -787,7 +800,6 @@ class MatchServer:
                 queue_seconds=formed - request.arrived,
                 service_seconds=served - formed,
                 tenant=request.tenant, trace=trace_payload))
-        self.response_count += len(batch)
         self._observe_served(batch, probs, predictions, bundle, version,
                              served, tel)
         if registry is not None:
@@ -988,7 +1000,7 @@ class MatchServer:
         return pending.result(timeout)
 
     # ------------------------------------------------------------------
-    # Observability surfaces (duck-typed: ServingPool offers the same)
+    # Observability surfaces (ServingPool offers the same three)
     # ------------------------------------------------------------------
     def health(self) -> dict:
         """Cheap liveness payload for ``GET /healthz`` (no locks beyond
@@ -1002,7 +1014,7 @@ class MatchServer:
             "bundle": bundle.name,
             "catalog_size": len(self.index),
             "candidate_mode": self._candidate_mode,
-            "candidate_index": self._candidate_index_kind(),
+            "candidate_index": self._candidate_index().kind,
             "queue_depth": depth,
             "scheduler_running": self.is_running,
         }

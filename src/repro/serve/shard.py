@@ -5,10 +5,16 @@ candidate layer by ``record_id``: :func:`shard_of` maps every id to a
 shard with a crc32 hash (salted python ``hash()`` would disagree across
 processes), writes route to the owning shard only, and a query scatters
 to every shard, takes each shard's local top-k, and merges the partial
-rankings in the same deterministic ``(-score, record_id)`` order the
-unsharded indexes use.
+rankings in the same deterministic ``(-score, record_id)`` order
+(:func:`repro.kernels.rank_key`) the unsharded indexes use.
 
-The merge is *exact*, not approximate: both underlying indexes rank by a
+:class:`ShardedIndex` is that layer for sparse, dense and CLK shards
+alike. It holds every shard or the ones a pool executor owns, and speaks
+the unsharded catalog protocol plus the dense and CLK entry points, so a
+:class:`~repro.serve.server.MatchServer` uses it as its index directly --
+every :class:`~repro.serve.pool.ServingPool` executor is such a server.
+
+The merge is *exact*, not approximate: every underlying index ranks by a
 total order and a record's score depends only on the (query, record)
 pair -- never on which other records share its shard -- so the global
 top-k is always contained in the union of per-shard top-ks.  That is why
@@ -17,12 +23,13 @@ against the unsharded :class:`~repro.serve.index.ServingIndex` at shard
 counts 1/2/4, including after add/remove/replace churn.
 
 Dense parity holds to float32 reduction tolerance rather than bitwise:
-the per-record int8 codes and scales are shard-independent, but
-``repro.ann.kernels.fused_scaled_dot`` scores each probed block with one
-BLAS gemv, and gemv accumulation order varies with the row count, so a
-shard's scores can differ from the unsharded index's in the last ulp
-(~1e-7).  Rankings still agree (the tests assert identical ranked ids
-and approx-equal scores).
+the per-record int8 codes and scales are shard-independent (a bulk add
+embeds its whole batch in one encoder call, as the unsharded index does,
+then routes the vectors), but ``repro.ann.kernels.fused_scaled_dot``
+scores each probed block with one BLAS gemv, and gemv accumulation order
+varies with the row count, so a shard's scores can differ from the
+unsharded index's in the last ulp (~1e-7).  Rankings still agree (the
+tests assert identical ranked ids and approx-equal scores).
 
 Two further caveats are inherited from the ANN layer: a *trained* IVF
 shard fits its k-means quantizer on its own records, so its probe sets
@@ -30,24 +37,23 @@ shard fits its k-means quantizer on its own records, so its probe sets
 trained IVF index.  LSH shards share seeded hyperplanes, which makes
 their probed row sets an exact partition of the unsharded buckets; the
 parity tests use LSH and untrained (flat-scan) IVF.
-
-Both sharded classes expose the full catalog protocol of their unsharded
-counterparts (``add`` / ``add_many`` / ``remove`` / ``get`` /
-``candidates`` / ``stats``), so a :class:`~repro.serve.server.MatchServer`
-can use them directly -- the pool's serial fallback does exactly that --
-while :class:`~repro.serve.pool.ServingPool` places whole shards inside
-replica processes and runs the same scatter/gather over pipes.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from ..data.records import EntityRecord
+from ..kernels import top_ranked
 from .index import ServingIndex
+
+#: per-shard ``stats()`` counters a sharded index reports as sums
+_SUMMED_STATS = ("tokens", "postings", "plaintext_records")
 
 
 def shard_of(record_id: str, shards: int) -> int:
@@ -55,6 +61,10 @@ def shard_of(record_id: str, shards: int) -> int:
     if shards < 1:
         raise ValueError("shards must be >= 1")
     return zlib.crc32(record_id.encode("utf-8")) % shards
+
+
+def _record_id(record: EntityRecord) -> str:
+    return record.record_id
 
 
 def merge_topk(partials: Iterable[Sequence[Tuple[EntityRecord, float]]],
@@ -67,169 +77,158 @@ def merge_topk(partials: Iterable[Sequence[Tuple[EntityRecord, float]]],
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    merged = [entry for partial in partials for entry in partial]
-    merged.sort(key=lambda entry: (-entry[1], entry[0].record_id))
-    return merged[:k]
+    return top_ranked((entry for partial in partials for entry in partial),
+                      k, _record_id)
 
 
-class ShardedServingIndex:
-    """``shards`` x :class:`ServingIndex` behind the one-catalog protocol.
+class ShardedIndex:
+    """``make_shard()`` per held shard behind the one-catalog protocol.
 
-    Writes touch exactly one shard (one lock), queries scatter to all of
-    them; per-record scoring is unchanged, so candidates are bit-identical
-    to an unsharded index at any shard count.
+    ``shards`` is the catalog's total shard count (it fixes
+    :func:`shard_of`); ``owned`` names the shards this object holds,
+    every one by default. Writes touch exactly one shard, queries scatter
+    to every held shard; per-record scoring is unchanged, so candidates
+    equal an unsharded index's at any shard count.
     """
 
-    def __init__(self, shards: int = 1, threshold: float = 0.0,
-                 min_shared_tokens: int = 1, default_k: int = 5) -> None:
+    def __init__(self, make_shard: Callable[[], object], shards: int = 1,
+                 owned: Optional[Iterable[int]] = None) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        self.default_k = default_k
-        self.shards = [ServingIndex(threshold=threshold,
-                                    min_shared_tokens=min_shared_tokens,
-                                    default_k=default_k)
-                       for _ in range(shards)]
+        self.total_shards = shards
+        self.shards: Dict[int, object] = {
+            shard: make_shard()
+            for shard in (range(shards) if owned is None else owned)}
+        sample = next(iter(self.shards.values()), None)
+        if sample is None:  # a replica that owns no shard
+            sample = make_shard()
+        self.kind: str = sample.kind
+        self.default_k: int = sample.default_k
+        #: the shards' shared encoder; None for token and filter-only shards
+        self.encoder = getattr(sample, "encoder", None)
+        #: dense shards take pre-embedded vectors, so a batch embeds once
+        self._routes_vectors = hasattr(sample, "add_vector")
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
+    def _held(self, record_id: str):
+        """The held shard ``record_id`` belongs to, or None."""
+        return self.shards.get(shard_of(record_id, self.total_shards))
 
-    def shard_for(self, record_id: str) -> ServingIndex:
-        return self.shards[shard_of(record_id, len(self.shards))]
+    def _owner(self, record_id: str):
+        """The held shard ``record_id`` belongs to (KeyError if not held)."""
+        return self.shards[shard_of(record_id, self.total_shards)]
 
-    # -- catalog protocol ----------------------------------------------
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
+    def _group(self, items, record_id: Callable) -> Dict[int, list]:
+        groups: Dict[int, list] = {}
+        for item in items:
+            groups.setdefault(shard_of(record_id(item), self.total_shards),
+                              []).append(item)
+        return groups
 
-    def __contains__(self, record_id: str) -> bool:
-        return record_id in self.shard_for(record_id)
-
-    def get(self, record_id: str) -> Optional[EntityRecord]:
-        return self.shard_for(record_id).get(record_id)
-
-    def add(self, record: EntityRecord) -> bool:
-        return self.shard_for(record.record_id).add(record)
-
-    def add_many(self, records) -> int:
-        return sum(1 for record in records if self.add(record))
-
-    def remove(self, record_id: str) -> bool:
-        return self.shard_for(record_id).remove(record_id)
-
-    # -- scatter/gather -------------------------------------------------
-    def candidates(self, record: EntityRecord,
-                   k: Optional[int] = None
-                   ) -> List[Tuple[EntityRecord, float]]:
+    def _k(self, k: Optional[int]) -> int:
         k = self.default_k if k is None else int(k)
         if k < 1:
             raise ValueError("k must be >= 1")
-        return merge_topk((shard.candidates(record, k)
-                           for shard in self.shards), k)
-
-    def stats(self) -> dict:
-        per_shard = [shard.stats() for shard in self.shards]
-        return {
-            "shards": len(self.shards),
-            "records": sum(s["records"] for s in per_shard),
-            "tokens": sum(s["tokens"] for s in per_shard),
-            "postings": sum(s["postings"] for s in per_shard),
-            "per_shard": per_shard,
-        }
-
-
-class ShardedDenseCandidateIndex:
-    """``shards`` x :class:`~repro.serve.dense.DenseCandidateIndex` over
-    one shared encoder.
-
-    The query is embedded **once** and the vector scattered, so sharding
-    adds no per-shard encoder cost; each shard re-ranks only its own int8
-    rows.  Per-vector quantization means a record's score never depends
-    on its shard-mates, which keeps the merged ranking exact (see the
-    module docstring for the trained-IVF probe caveat).
-    """
-
-    def __init__(self, encoder, shards: int = 1, kind: str = "ivf",
-                 min_score: Optional[float] = None, default_k: int = 5,
-                 seed: int = 0, **index_kwargs) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        from .dense import DenseCandidateIndex
-
-        self.encoder = encoder
-        self.default_k = default_k
-        #: every shard shares the encoder (and its content-addressed
-        #: cache) and the same seed, so LSH shards hash against identical
-        #: hyperplanes -- their buckets partition the unsharded ones
-        self.shards = [DenseCandidateIndex(encoder, kind=kind,
-                                           min_score=min_score,
-                                           default_k=default_k, seed=seed,
-                                           **index_kwargs)
-                       for _ in range(shards)]
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    def shard_for(self, record_id: str):
-        return self.shards[shard_of(record_id, len(self.shards))]
+        return k
 
     # -- catalog protocol ----------------------------------------------
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
+        return sum(len(shard) for shard in self.shards.values())
 
     def __contains__(self, record_id: str) -> bool:
-        return record_id in self.shard_for(record_id)
+        shard = self._held(record_id)
+        return shard is not None and record_id in shard
 
     def get(self, record_id: str) -> Optional[EntityRecord]:
-        return self.shard_for(record_id).get(record_id)
+        shard = self._held(record_id)
+        return None if shard is None else shard.get(record_id)
 
     def add(self, record: EntityRecord) -> bool:
-        return self.shard_for(record.record_id).add(record)
+        return self._owner(record.record_id).add(record)
 
     def add_many(self, records) -> int:
-        """Bulk insert: one cache-aware embedding sweep, then one routed
-        vector-level insert per record."""
+        """Bulk insert; returns the number of *new* ids. Dense shards get
+        vectors from one cache-aware embedding sweep over the batch."""
         records = list(records)
         if not records:
             return 0
-        vectors = self.encoder.encode_records(records)
-        fresh = 0
-        for i, record in enumerate(records):
-            shard = self.shard_for(record.record_id)
-            if shard.add_vector(record, vectors[i]):
-                fresh += 1
-        return fresh
+        if self._routes_vectors:
+            vectors = self.encoder.encode_records(records)
+            return sum(self._owner(record.record_id).add_vector(record,
+                                                                vectors[i])
+                       for i, record in enumerate(records))
+        return sum(self.shards[shard].add_many(group) for shard, group
+                   in self._group(records, _record_id).items())
+
+    def add_clk_many(self, entries) -> int:
+        """Bulk ``(record_id, packed filter)`` insert into CLK shards."""
+        return sum(self.shards[shard].add_clk_many(group) for shard, group
+                   in self._group(entries, lambda entry: entry[0]).items())
 
     def remove(self, record_id: str) -> bool:
-        return self.shard_for(record_id).remove(record_id)
+        shard = self._held(record_id)
+        return shard is not None and shard.remove(record_id)
 
-    def train(self) -> "ShardedDenseCandidateIndex":
+    def train(self) -> "ShardedIndex":
         """(Re)train each trainable shard on its own records."""
-        for shard in self.shards:
+        for shard in self.shards.values():
             shard.train()
         return self
 
     # -- scatter/gather -------------------------------------------------
-    def candidates(self, record: EntityRecord,
-                   k: Optional[int] = None
+    def candidates(self, record: EntityRecord, k: Optional[int] = None
                    ) -> List[Tuple[EntityRecord, float]]:
-        k = self.default_k if k is None else int(k)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        query = self.encoder.encode_record(record)
-        return self.candidates_from_vector(query, k)
+        k = self._k(k)
+        if self._routes_vectors:  # embed once, not once per shard
+            return self.candidates_from_vector(
+                self.encoder.encode_record(record), k)
+        return merge_topk((shard.candidates(record, k)
+                           for shard in self.shards.values()), k)
 
     def candidates_from_vector(self, query: np.ndarray, k: int
                                ) -> List[Tuple[EntityRecord, float]]:
-        """Scatter an already-embedded query; the pool's router uses this
-        so a match query is embedded once, not once per shard."""
+        """Scatter an already-embedded dense query to every held shard."""
         return merge_topk((shard.candidates_from_vector(query, k)
-                           for shard in self.shards), k)
+                           for shard in self.shards.values()), k)
+
+    def search(self, clk: np.ndarray, k: Optional[int] = None
+               ) -> List[Tuple[str, float]]:
+        """Dice top-k ``(record_id, score)`` over the held CLK shards."""
+        k = self._k(k)
+        return top_ranked((hit for shard in self.shards.values()
+                           for hit in shard.search(clk, k)), k)
 
     def stats(self) -> dict:
-        per_shard = [shard.stats() for shard in self.shards]
-        return {
-            "shards": len(self.shards),
-            "records": sum(s["records"] for s in per_shard),
-            "per_shard": per_shard,
-        }
+        per_shard = [self.shards[shard].stats()
+                     for shard in sorted(self.shards)]
+        stats = {"kind": self.kind, "shards": len(per_shard),
+                 "records": sum(s["records"] for s in per_shard),
+                 "per_shard": per_shard}
+        for key in _SUMMED_STATS:
+            if per_shard and key in per_shard[0]:
+                stats[key] = sum(s[key] for s in per_shard)
+        return stats
+
+
+def ShardedServingIndex(shards: int = 1, threshold: float = 0.0,
+                        min_shared_tokens: int = 1,
+                        default_k: int = 5) -> ShardedIndex:
+    """``shards`` x :class:`ServingIndex`: sparse candidates bit-identical
+    to one unsharded index at any shard count."""
+    return ShardedIndex(lambda: ServingIndex(
+        threshold=threshold, min_shared_tokens=min_shared_tokens,
+        default_k=default_k), shards)
+
+
+def ShardedDenseCandidateIndex(encoder, shards: int = 1, kind: str = "ivf",
+                               min_score: Optional[float] = None,
+                               default_k: int = 5, seed: int = 0,
+                               **index_kwargs) -> ShardedIndex:
+    """``shards`` x :class:`~repro.serve.dense.DenseCandidateIndex` over
+    one shared encoder (and its content-addressed cache) and one seed, so
+    LSH shards hash against identical hyperplanes and their buckets
+    partition the unsharded ones."""
+    from .dense import DenseCandidateIndex
+
+    return ShardedIndex(lambda: DenseCandidateIndex(
+        encoder, kind=kind, min_score=min_score, default_k=default_k,
+        seed=seed, **index_kwargs), shards)

@@ -15,6 +15,7 @@ from repro.serve import (
     DenseCandidateIndex, MatchHTTPServer, MatchServer, ServerConfig,
     ServingIndex,
 )
+from repro.serve.shard import ShardedDenseCandidateIndex
 
 
 def rec(rid, text):
@@ -142,6 +143,19 @@ class TestServerModeRouting:
         server.catalog_add([rec("fresh", "red mountain bike replica")])
         hits = server.match(rec("q", "red mountain bike replica"), k=4)
         assert "fresh" in {c.record.record_id for c in hits.candidates}
+
+    def test_health_names_sharded_dense_index(self, bundle, encoder):
+        """/healthz reads the index's own kind, so a sharded dense index
+        reports like an unsharded one instead of raising."""
+        sharded = ShardedDenseCandidateIndex(encoder, 2, kind="ivf",
+                                             nlist=2, nprobe=2)
+        server = MatchServer(bundle, dense_index=sharded,
+                             candidate_mode="dense")
+        server.catalog_add([rec("bike", "red mountain bicycle")])
+        health = server.health()
+        assert health["candidate_index"] == "dense:ivf"
+        flat = self._server(bundle, encoder, mode="dense")
+        assert flat.health()["candidate_index"] == "dense:ivf"
 
 
 class TestAdminCandidatesRoute:

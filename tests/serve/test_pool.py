@@ -13,11 +13,12 @@ import pytest
 from repro.data.dataset import CandidatePair
 from repro.data.records import EntityRecord
 from repro.parallel.pool import force_serial, fork_available
+from repro.privacy import ClkConfig, ClkEncoder
 from repro.serve import (
     MatchServer, ModelBundle, Overloaded, ServerConfig, SharedBundleWeights,
 )
 from repro.serve.pool import (
-    PoolConfig, ServingPool, _approx_tokens, _owned_shards,
+    PoolConfig, ServingPool, _approx_tokens, _owned_shards, _Replica,
 )
 
 from .conftest import make_model
@@ -235,6 +236,148 @@ class TestSerialFallback:
         want = reference.match(pairs[1].left, k=5)
         assert [c.record.record_id for c in got.candidates] == \
             [c.record.record_id for c in want.candidates]
+
+
+class TestSerialClkEncoding:
+    def test_one_encoding_per_record(self, bundle, catalog, monkeypatch):
+        """The router encodes each added record once: the serial server's
+        CLK shards hold filters only, so neither start() nor a live add
+        encodes again, and no plaintext record sits in a CLK index."""
+        encoded = []
+        depth = []  # nesting: encode_records calls encode_record per row
+        many, one = ClkEncoder.encode_records, ClkEncoder.encode_record
+
+        def encode_records(self, records):
+            records = list(records)
+            if not depth:
+                encoded.extend(record.record_id for record in records)
+            depth.append(1)
+            try:
+                return many(self, records)
+            finally:
+                depth.pop()
+
+        def encode_record(self, record):
+            if not depth:
+                encoded.append(record.record_id)
+            depth.append(1)
+            try:
+                return one(self, record)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(ClkEncoder, "encode_records", encode_records)
+        monkeypatch.setattr(ClkEncoder, "encode_record", encode_record)
+        records = catalog[:5]
+        encoder = ClkEncoder("pool-salt", ClkConfig(nbits=256, num_hashes=8))
+        with force_serial():
+            pool = ServingPool(bundle, PoolConfig(replicas=2, shards=3),
+                               clk_encoder=encoder)
+            pool.catalog_add(records[:3])  # journaled before start
+            with pool:
+                assert pool.serial
+                assert len(encoded) == 3  # start() encoded nothing
+                pool.catalog_add(records[3:])
+                stats = pool.stats()
+        assert sorted(encoded) == sorted(r.record_id for r in records)
+        clk_index = stats["replica_stats"][0]["clk_index"]
+        assert clk_index["records"] == len(records)
+        assert clk_index["plaintext_records"] == 0
+        assert stats["clk_catalog_records"] == len(records)
+
+
+def run_script(pool, catalog, filters):
+    """One scripted session; returns what a client can observe."""
+    seen = {}
+    pool.catalog_add(catalog)
+    pool.catalog_add([EntityRecord.text_record(
+        catalog[0].record_id, "blue habor mexican restaurant new york")])
+    seen["removed"] = pool.catalog_remove([catalog[1].record_id, "ghost"])
+    seen["matches"] = [pool.match(record, k=4, timeout=60.0)
+                       for record in (catalog[0], catalog[2], catalog[5])]
+    seen["clk_added"] = pool.catalog_add_clk(filters)
+    seen["clk"] = [pool.clk_match(rid, filt, k=3) for rid, filt in filters]
+    seen["clk_removed"] = pool.catalog_remove([filters[0][0]])
+    seen["clk"].append(pool.clk_match("q", filters[0][1], k=len(filters)))
+    pool.set_candidate_mode("clk")
+    stats = pool.stats()
+    seen["modes"] = (pool.health()["candidate_index"],
+                     {s["candidate_mode"]
+                      for s in stats["replica_stats"].values()})
+    pool.set_candidate_mode("sparse")
+    seen["matches"].append(pool.match(catalog[3], k=4, timeout=60.0))
+    stats = pool.stats()
+    seen["stats"] = {key: stats[key] for key in (
+        "requests", "responses", "catalog_records", "clk_catalog_records")}
+    return seen
+
+
+@needs_fork
+class TestSerialEqualsForked:
+    def test_same_session_same_answers(self, bundle, catalog, monkeypatch):
+        """The serial fallback and forked replicas are one executor type
+        behind one router: a scripted session answers the same in both,
+        and the router only ever sends a replica score/call/stop."""
+        encoder = ClkEncoder("pool-salt", ClkConfig(nbits=256, num_hashes=8))
+        filters = [(f"c{i}", encoder.encode_record(record))
+                   for i, record in enumerate(catalog[:6])]
+        kinds = set()
+        send = _Replica.send
+
+        def recording_send(self, message):
+            kinds.add(message[0])
+            send(self, message)
+
+        monkeypatch.setattr(_Replica, "send", recording_send)
+
+        def session():
+            config = PoolConfig(replicas=2, shards=3,
+                                server=ServerConfig(max_queue=512))
+            pool = ServingPool(bundle, config, clk_words=encoder.config.words,
+                               clk_threshold=0.6)
+            with pool:
+                return pool.serial, run_script(pool, catalog, filters)
+
+        with force_serial():
+            serial_mode, serial = session()
+        forked_mode, forked = session()
+        assert serial_mode and not forked_mode
+        assert kinds == {"score", "call", "stop"}
+
+        for key in ("removed", "clk_added", "clk_removed", "modes", "stats"):
+            assert serial[key] == forked[key], key
+        assert serial["modes"] == ("clk", {"clk"})
+        for mine, theirs in zip(serial["clk"], forked["clk"]):
+            assert mine == theirs  # ids, Dice scores, match flags
+        assert len(serial["matches"]) == len(forked["matches"]) == 4
+        for mine, theirs in zip(serial["matches"], forked["matches"]):
+            def by_id(response):
+                return {c.record.record_id: c for c in response.candidates}
+
+            got, want = by_id(mine), by_id(theirs)
+            assert got and set(got) == set(want)
+            for rid in got:
+                assert got[rid].block_score == want[rid].block_score
+                np.testing.assert_allclose(got[rid].response.probs,
+                                           want[rid].response.probs,
+                                           rtol=1e-5, atol=1e-6)
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                    reason="no /dev/shm on this platform")
+class TestSharedMemoryCleanup:
+    def test_drained_stop_leaves_no_segment(self, backbone, bundle, pairs):
+        before = set(os.listdir("/dev/shm"))
+        pool = ServingPool(bundle, PoolConfig(replicas=2, shards=2))
+        pool.start()
+        pool.score(pairs[0], timeout=30.0)
+        pool.swap(ModelBundle.from_model(make_model(backbone),
+                                         threshold=0.5, name="b2"))
+        pool.score(pairs[1], timeout=30.0)
+        pool.stop(drain=True)
+        assert not pool.is_running
+        assert set(os.listdir("/dev/shm")) - before == set()
 
 
 class TestSharedBundleWeights:
