@@ -5,6 +5,11 @@ The paper focuses on *matching* and assumes candidate pairs already exist
 left x right, keep pairs whose serialized token overlap clears a threshold,
 reducing the quadratic candidate space while retaining recall.
 
+:class:`OverlapBlocker` is a threshold sweep over one
+:class:`repro.serve.ServingIndex` of the right table, the index the
+serving path queries, so offline and online candidates are computed by
+the same code.
+
 For the dense (embedding-based) alternative that scales past token
 postings, see :class:`repro.ann.DenseBlocker` and ``docs/BLOCKING.md``.
 """
@@ -12,9 +17,9 @@ postings, see :class:`repro.ann.DenseBlocker` and ``docs/BLOCKING.md``.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..text.tokenizer import basic_tokenize
 from .records import EntityRecord, Table
@@ -92,7 +97,8 @@ class BlockingResult:
 
 
 class OverlapBlocker:
-    """Inverted-index token blocker with an overlap-coefficient filter."""
+    """Token blocker with an overlap-coefficient filter: a threshold sweep
+    over one :class:`repro.serve.ServingIndex` of the right table."""
 
     def __init__(self, threshold: float = 0.3, min_shared_tokens: int = 1) -> None:
         if not 0.0 <= threshold <= 1.0:
@@ -100,40 +106,23 @@ class OverlapBlocker:
         self.threshold = threshold
         self.min_shared_tokens = min_shared_tokens
 
-    _tokens = staticmethod(record_tokens)
-
     def block(self, left: Table, right: Table) -> BlockingResult:
         """Return candidate pairs sharing enough tokens.
 
-        The inverted-index walk already counts ``shared = |L intersect R|``
-        per right record, so the overlap coefficient is computed directly
-        as ``shared / min(|L|, |R|)`` -- re-intersecting the token sets per
-        surviving candidate (the old :func:`overlap_coefficient` call)
-        would redo exactly that work.
+        Each left record asks the index of ``right`` for every record
+        that clears the threshold, so a left record's candidates come in
+        ``(-score, record_id)`` order. The index counts shared tokens and
+        scores ``shared / min(|L|, |R|)`` exactly as the serving path
+        does, so online and offline candidates cannot drift apart.
         """
-        right_size: Dict[str, int] = {}
-        index: Dict[str, List[str]] = defaultdict(list)
-        for record in right:
-            tokens = self._tokens(record)
-            right_size[record.record_id] = len(tokens)
-            for token in tokens:
-                index[token].append(record.record_id)
+        from ..serve.index import ServingIndex  # it imports this module
 
-        candidates: List[Tuple[EntityRecord, EntityRecord]] = []
-        right_by_id = {r.record_id: r for r in right}
-        for left_record in left:
-            tokens = self._tokens(left_record)
-            counts: Dict[str, int] = defaultdict(int)
-            for token in tokens:
-                for rid in index.get(token, ()):
-                    counts[rid] += 1
-            for rid, shared in counts.items():
-                if shared < self.min_shared_tokens:
-                    continue
-                smaller = min(len(tokens), right_size[rid])
-                score = shared / smaller if smaller else 0.0
-                if score >= self.threshold:
-                    candidates.append((left_record, right_by_id[rid]))
+        # a pair shares at least one token to be scored at all, so 0 acts as 1
+        index = ServingIndex(self.threshold, max(self.min_shared_tokens, 1))
+        index.add_many(right)
+        everything = max(len(index), 1)
+        candidates = [(record, match) for record in left
+                      for match, _ in index.candidates(record, everything)]
         return BlockingResult(candidates=candidates,
                               total_pairs=len(left) * len(right))
 

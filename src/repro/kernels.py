@@ -3,7 +3,8 @@
 :mod:`repro.ann.kernels`, :mod:`repro.privacy.kernels` and
 :mod:`repro.infer.fastpath` all recycle per-thread scratch buffers and
 keep the top-k of a score vector; the candidate indexes and the serving
-shards all order hits the same way. This module holds the one copy of
+shards all order hits the same way (:func:`rank_key`, and
+:func:`top_rows` for a score array). This module holds the one copy of
 each. It imports only numpy and threading, so :mod:`repro.privacy` still
 loads without the encoder or language-model stack
 (``tests/privacy/test_shared_kernels.py`` pins that).
@@ -55,6 +56,28 @@ def topk_candidates(scores: np.ndarray, k: int) -> np.ndarray:
 def rank_key(ident: str, score: float) -> Tuple[float, str]:
     """The one candidate order: higher score first, ties by ascending id."""
     return (-score, ident)
+
+
+def top_rows(scores: np.ndarray, order: np.ndarray, k: int) -> np.ndarray:
+    """:func:`rank_key` over arrays: positions of the first ``k`` entries.
+
+    ``order`` holds distinct integers that ascend with the entries' ids
+    (their ranks, or any keys in the same order), so the result equals
+    sorting ``(-score, id)`` and cutting to ``k``. Only rows tied at the k-th score are ranked by ``order``,
+    with a partition; however many rows tie, no Python sort runs.
+    """
+    n = len(scores)
+    if n <= k:
+        picked = np.arange(n)
+    else:
+        kth = np.partition(scores, n - k)[n - k]
+        above = np.flatnonzero(scores > kth)
+        tied = np.flatnonzero(scores == kth)
+        need = k - len(above)
+        if len(tied) > need:
+            tied = tied[np.argpartition(order[tied], need - 1)[:need]]
+        picked = np.concatenate([above, tied])
+    return picked[np.lexsort((order[picked], -scores[picked]))]
 
 
 def top_ranked(entries: Iterable[Tuple[object, float]], k: int,

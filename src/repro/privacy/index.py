@@ -69,6 +69,8 @@ class ClkCandidateIndex:
                                  dtype=np.uint64)
         self._pops = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
         self._ids: List[Optional[str]] = [None] * _INITIAL_CAPACITY
+        #: row -> holds a filter; a query scores the rows set here
+        self._live = np.zeros(_INITIAL_CAPACITY, dtype=bool)
         self._rows: Dict[str, int] = {}
         self._free: List[int] = list(range(_INITIAL_CAPACITY - 1, -1, -1))
         self._records: Dict[str, EntityRecord] = {}
@@ -102,7 +104,9 @@ class ClkCandidateIndex:
         filters[:old] = self._filters
         pops = np.zeros(grown, dtype=np.int64)
         pops[:old] = self._pops
-        self._filters, self._pops = filters, pops
+        live = np.zeros(grown, dtype=bool)
+        live[:old] = self._live
+        self._filters, self._pops, self._live = filters, pops, live
         self._ids.extend([None] * (grown - old))
         self._free.extend(range(grown - 1, old, -1))
         return old
@@ -129,6 +133,7 @@ class ClkCandidateIndex:
                 row = self._take_row()
                 self._rows[record_id] = row
                 self._ids[row] = record_id
+                self._live[row] = True
             self._filters[row] = clk
             self._pops[row] = pop
             if record is not None:
@@ -179,6 +184,7 @@ class ClkCandidateIndex:
             if row is None:
                 return False
             self._ids[row] = None
+            self._live[row] = False
             self._filters[row] = 0
             self._pops[row] = 0
             self._free.append(row)
@@ -207,14 +213,13 @@ class ClkCandidateIndex:
         with self._lock:
             if not self._rows:
                 return []
-            rows = np.fromiter(self._rows.values(), dtype=np.int64,
-                               count=len(self._rows))
-            ids = {row: rid for rid, row in self._rows.items()}
+            rows = np.flatnonzero(self._live)
+            ids = list(self._ids)
             filters, pops = self._filters, self._pops
         pool_rows, pool_scores = dice_topk(clk, filters, k, pops=pops,
                                            rows=rows)
-        found = [(ids[int(row)], float(score))
-                 for row, score in zip(pool_rows, pool_scores)]
+        found = [(ids[row], float(score))
+                 for row, score in zip(pool_rows.tolist(), pool_scores)]
         if self.min_score is not None:
             found = [(rid, score) for rid, score in found
                      if score >= self.min_score]

@@ -1,41 +1,84 @@
-"""ServingIndex: an incrementally maintained catalog for query-shaped EM.
+"""ServingIndex: the token-overlap candidate index, online and offline.
 
-The offline :class:`~repro.data.blocking.OverlapBlocker` builds its
-inverted index from scratch for one ``left x right`` sweep. An online
-matching service instead holds a long-lived catalog that records join and
-leave while queries arrive, so this index supports:
+A long-lived catalog that records join and leave while queries arrive.
+It is the repo's one token-overlap index: the
+:class:`~repro.serve.server.MatchServer`'s sparse candidates, every pool
+shard (through :class:`~repro.serve.shard.ShardedIndex`) and the offline
+:class:`~repro.data.blocking.OverlapBlocker` sweep all run on it.
 
-* ``add`` / ``remove`` of individual records (re-adding an id replaces the
-  old record atomically -- tokens of the previous version are unlinked);
+* ``add`` / ``add_many`` / ``remove`` of records; re-adding an id
+  replaces the old record atomically (its old postings are unlinked, and
+  within one ``add_many`` the last copy of an id wins);
 * ``candidates(record, k)`` -- top-k catalog records by overlap
-  coefficient, the same score the offline blocker thresholds on, with a
-  deterministic ``(-score, record_id)`` ordering so equal scores never
-  reorder between calls.
+  coefficient ``shared / min(|query|, |record|)``, ordered by
+  ``(-score, record_id)`` so equal scores never reorder between calls.
 
-Token semantics are shared with the blocker through
-:func:`repro.data.blocking.record_tokens`, which keeps offline candidate
-generation and online retrieval consistent.
+Storage is array-backed. Each record holds a row, recycled through a
+free list as in :class:`repro.privacy.ClkCandidateIndex`, and each token
+keeps an int32 posting array of rows plus each row's slot in it, so one
+posting entry is linked by an append and unlinked by moving the
+posting's last entry into its slot: O(1) either way. A re-add moves only
+the entries of tokens that changed, and ``add_many`` stages the batch's
+new entries by token and extends each touched posting once. A query
+concatenates its tokens' postings, counts shared tokens per row with
+``np.bincount``, scores in float64 (the same IEEE division as Python's
+``shared / smaller``) and ranks with :func:`repro.kernels.top_rows`.
+Each row also carries an integer key that ascends with its id: a new id
+takes the midpoint of its neighbours' keys (all keys are spaced out
+again when a gap closes), so ties break by id without sorting strings
+at query time and no write touches other rows' keys.
 
-Mutations are guarded by an internal lock; ``candidates`` holds that lock
-only long enough to snapshot the postings a query touches (plus token
-sizes and record refs) and scores *outside* it, so the
-:class:`~repro.serve.server.MatchServer` can mutate the catalog from
-admin calls while its scheduler thread resolves ``match`` requests
-without queries serializing every mutator behind the scoring loop.
+Token semantics come from :func:`repro.data.blocking.record_tokens`.
+Mutations and queries take one internal lock; a query holds it for a
+few array passes, so a reader never sees a half-applied write.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+from array import array
+from bisect import bisect_left
+from collections import defaultdict
+from itertools import count
+from typing import Dict, FrozenSet, List, Optional, Tuple
+
+import numpy as np
 
 from ..data.blocking import record_tokens
 from ..data.records import EntityRecord
+from ..kernels import top_rows
 from ..obs import get_telemetry
+
+#: ``array`` type code of the posting arrays: C int, 32 bits wide
+_ROW = "i"
+#: spacing of the id-order keys after :meth:`ServingIndex._renumber`
+_GAP = 1 << 32
+
+
+class _Posting:
+    """The rows holding one token, and each row's slot in ``rows``."""
+
+    __slots__ = ("rows", "slots")
+
+    def __init__(self) -> None:
+        self.rows = array(_ROW)
+        self.slots: Dict[int, int] = {}
+
+    def extend(self, rows: List[int]) -> None:
+        self.slots.update(zip(rows, count(len(self.rows))))
+        self.rows.extend(rows)
+
+    def discard(self, row: int) -> None:
+        """Take ``row`` out: the last entry moves into its slot."""
+        slot = self.slots.pop(row)
+        moved = self.rows.pop()
+        if slot < len(self.rows):
+            self.rows[slot] = moved
+            self.slots[moved] = slot
 
 
 class ServingIndex:
-    """Inverted token index over a mutable catalog of entity records."""
+    """Token-overlap candidate index over a mutable catalog of records."""
 
     #: what ``/healthz`` names this candidate generator
     kind = "sparse:token-overlap"
@@ -52,67 +95,135 @@ class ServingIndex:
         self.min_shared_tokens = min_shared_tokens
         self.default_k = default_k
         self._lock = threading.RLock()
-        self._records: Dict[str, EntityRecord] = {}
-        self._tokens: Dict[str, Set[str]] = {}
-        self._postings: Dict[str, Set[str]] = {}
+        self._rows: Dict[str, int] = {}
+        #: row -> record, None for a free row
+        self._records: List[Optional[EntityRecord]] = []
+        #: row -> its token set (empty for a free row)
+        self._tokens: List[FrozenSet[str]] = []
+        self._free: List[int] = []
+        #: row -> token count
+        self._sizes = np.zeros(0, dtype=np.int64)
+        #: row -> its id's order key: keys ascend with the live ids
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._sorted_ids: List[str] = []
+        self._postings: Dict[str, _Posting] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return len(self._rows)
 
     def __contains__(self, record_id: str) -> bool:
         with self._lock:
-            return record_id in self._records
+            return record_id in self._rows
 
     def get(self, record_id: str) -> Optional[EntityRecord]:
         with self._lock:
-            return self._records.get(record_id)
+            row = self._rows.get(record_id)
+            return None if row is None else self._records[row]
 
     # ------------------------------------------------------------------
     def add(self, record: EntityRecord) -> bool:
         """Insert ``record``; returns False when it *replaced* an earlier
         record with the same id (the previous version is fully unlinked)."""
-        tokens = record_tokens(record)
-        with self._lock:
-            fresh = record.record_id not in self._records
-            if not fresh:
-                self._unlink(record.record_id)
-            self._records[record.record_id] = record
-            self._tokens[record.record_id] = tokens
-            for token in tokens:
-                self._postings.setdefault(token, set()).add(record.record_id)
-            size = len(self._records)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.gauge("serve.index.size").set(size)
-        return fresh
+        return self.add_many([record]) == 1
 
     def add_many(self, records) -> int:
         """Bulk insert; returns the number of *new* ids."""
-        return sum(1 for record in records if self.add(record))
+        batch = {record.record_id: record for record in records}
+        tokens = [record_tokens(record) for record in batch.values()]
+        with self._lock:
+            fresh = [rid for rid in batch if rid not in self._rows]
+            self._rows.update(zip(fresh, self._take_rows(len(fresh))))
+            if fresh:
+                self._place(fresh)
+            staged: Dict[str, List[int]] = defaultdict(list)
+            for record, new in zip(batch.values(), tokens):
+                row = self._rows[record.record_id]
+                old = self._tokens[row]
+                self._unlink(row, old - new)
+                for token in new - old:
+                    staged[token].append(row)
+                self._records[row] = record
+                self._tokens[row] = new
+                self._sizes[row] = len(new)
+            for token, rows in staged.items():
+                posting = self._postings.get(token)
+                if posting is None:
+                    posting = self._postings[token] = _Posting()
+                posting.extend(rows)
+            size = len(self._rows)
+        self._gauge(size)
+        return len(fresh)
 
     def remove(self, record_id: str) -> bool:
         """Drop a record by id; returns False when the id is unknown."""
         with self._lock:
-            if record_id not in self._records:
+            row = self._rows.pop(record_id, None)
+            if row is None:
                 return False
-            self._unlink(record_id)
-            size = len(self._records)
+            self._unlink(row, self._tokens[row])
+            self._tokens[row] = frozenset()
+            del self._sorted_ids[bisect_left(self._sorted_ids, record_id)]
+            self._records[row] = None
+            self._free.append(row)
+            size = len(self._rows)
+        self._gauge(size)
+        return True
+
+    # -- storage (callers hold the lock) -------------------------------
+    def _take_rows(self, count: int) -> List[int]:
+        """``count`` rows for new ids: freed rows first, then new ones."""
+        rows = [self._free.pop() for _ in range(min(count, len(self._free)))]
+        start = len(self._records)
+        added = count - len(rows)
+        rows.extend(range(start, start + added))
+        self._records.extend([None] * added)
+        self._tokens.extend([frozenset()] * added)
+        if len(self._records) > len(self._keys):
+            grown = max(64, 2 * len(self._records))
+            self._sizes = np.resize(self._sizes, grown)
+            self._keys = np.resize(self._keys, grown)
+        return rows
+
+    def _place(self, ids: List[str]) -> None:
+        """Key each new id between its neighbours in id order; when two
+        neighbours' keys are adjacent, space every key out again."""
+        for rid in sorted(ids):
+            at = bisect_left(self._sorted_ids, rid)
+            self._sorted_ids.insert(at, rid)
+            lo, hi = self._key_at(at - 1), self._key_at(at + 1)
+            if lo is None:
+                lo = (0 if hi is None else hi) - 2 * _GAP
+            if hi is None:
+                hi = lo + 2 * _GAP
+            if hi - lo < 2:
+                self._renumber()
+            else:
+                self._keys[self._rows[rid]] = (lo + hi) // 2
+
+    def _key_at(self, at: int) -> Optional[int]:
+        """The key of the ``at``-th id in id order, None off either end."""
+        if 0 <= at < len(self._sorted_ids):
+            return int(self._keys[self._rows[self._sorted_ids[at]]])
+        return None
+
+    def _renumber(self) -> None:
+        rows = [self._rows[rid] for rid in self._sorted_ids]
+        self._keys[rows] = np.arange(len(rows), dtype=np.int64) * _GAP
+
+    def _unlink(self, row: int, tokens) -> None:
+        for token in tokens:
+            posting = self._postings[token]
+            posting.discard(row)
+            if not posting.rows:
+                del self._postings[token]
+
+    @staticmethod
+    def _gauge(size: int) -> None:
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.gauge("serve.index.size").set(size)
-        return True
-
-    def _unlink(self, record_id: str) -> None:
-        # caller holds the lock
-        for token in self._tokens.pop(record_id, ()):
-            posting = self._postings.get(token)
-            if posting is not None:
-                posting.discard(record_id)
-                if not posting:
-                    del self._postings[token]
-        del self._records[record_id]
 
     # ------------------------------------------------------------------
     def candidates(self, record: EntityRecord,
@@ -128,44 +239,31 @@ class ServingIndex:
         if k < 1:
             raise ValueError("k must be >= 1")
         query_tokens = record_tokens(record)
-        if not query_tokens:
-            return []
-        # Snapshot under the lock, score outside it: the scoring loop is
-        # the expensive part and used to serialize every mutator behind
-        # every query.  One lock acquisition copies the postings touched
-        # by the query plus the matching records' token sizes and record
-        # refs, so the scored view is internally consistent (no torn
-        # reads) while adds/removes proceed concurrently.
         with self._lock:
-            postings = [tuple(self._postings.get(token, ()))
-                        for token in query_tokens]
-            sizes: Dict[str, int] = {}
-            records: Dict[str, EntityRecord] = {}
-            for posting in postings:
-                for rid in posting:
-                    if rid not in sizes:
-                        sizes[rid] = len(self._tokens[rid])
-                        records[rid] = self._records[rid]
-        counts: Dict[str, int] = {}
-        for posting in postings:
-            for rid in posting:
-                counts[rid] = counts.get(rid, 0) + 1
-        scored: List[Tuple[float, str]] = []
-        for rid, shared in counts.items():
-            if shared < self.min_shared_tokens:
-                continue
-            smaller = min(len(query_tokens), sizes[rid])
-            score = shared / smaller if smaller else 0.0
-            if score >= self.threshold:
-                scored.append((score, rid))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        return [(records[rid], score) for score, rid in scored[:k]]
+            postings = [self._postings[token] for token in query_tokens
+                        if token in self._postings]
+            if not postings:
+                return []
+            # the frombuffer views die inside the call, before any write
+            # could need to resize an array they export
+            hits = np.concatenate([np.frombuffer(posting.rows, np.intc)
+                                   for posting in postings])
+            shared = np.bincount(hits)
+            rows = np.flatnonzero(shared >= self.min_shared_tokens)
+            scores = shared[rows] / np.minimum(len(query_tokens),
+                                               self._sizes[rows])
+            kept = scores >= self.threshold
+            rows, scores = rows[kept], scores[kept]
+            top = top_rows(scores, self._keys[rows], k)
+            return [(self._records[row], score) for row, score in
+                    zip(rows[top].tolist(), scores[top].tolist())]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         with self._lock:
             return {
-                "records": len(self._records),
+                "records": len(self._rows),
                 "tokens": len(self._postings),
-                "postings": sum(len(p) for p in self._postings.values()),
+                "postings": sum(len(posting.rows)
+                                for posting in self._postings.values()),
             }

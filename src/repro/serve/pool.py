@@ -41,12 +41,13 @@ unit* and adds the multi-worker topology around it:
   ``record_id`` (:func:`~repro.serve.shard.shard_of`); shard ``s`` lives
   inside replica ``s % N``, whose server keeps its indexes as
   :class:`~repro.serve.shard.ShardedIndex` es over its own shards.  A
-  match query scatters to every live replica (dense queries are embedded
-  once in the router) and the router merges the partial top-k lists in
-  the deterministic ``(-score, record_id)`` order.  Catalog writes route
-  to the owning replica; the router keeps per-shard **journals** of raw
-  records and packed CLK filters -- the respawn source.  CLK shards hold
-  filters only: a ``clk_encoder`` runs in the router, once per record.
+  match query scatters to every replica that owns a shard (dense queries
+  are embedded once in the router) and the router merges the partial
+  top-k lists in the deterministic ``(-score, record_id)`` order.
+  Catalog writes route to the owning replica; the router keeps per-shard
+  **journals** of raw records and packed CLK filters -- the respawn
+  source.  CLK shards hold filters only: a ``clk_encoder`` runs in the
+  router, once per record.
 
 Where fork (or real shared memory) is unavailable the pool degrades to a
 **serial fallback**: one in-process ``MatchServer`` built by the same
@@ -923,7 +924,7 @@ class ServingPool:
             # embed once in the router; every shard re-ranks this vector
             vector = self._encoder.encode_record(record)
         candidates = merge_topk(
-            self._call("candidates", (record, k, vector)).values(), k)
+            self._query("candidates", (record, k, vector)).values(), k)
         if not candidates:
             return PendingMatch(record.record_id, [])
         pairs = [CandidatePair(record, candidate)
@@ -943,13 +944,20 @@ class ServingPool:
         self._check_mode("clk")
         k = self.config.server.default_top_k if k is None else int(k)
         started = time.perf_counter()
-        partials = self._call("clk_candidates",
-                              (np.asarray(clk, dtype=np.uint64), k))
+        partials = self._query("clk_candidates",
+                               (np.asarray(clk, dtype=np.uint64), k))
         merged = top_ranked((hit for partial in partials.values()
                              for hit in partial), k)
         self.request_count += 1
         self.response_count += 1
         return clk_response(record_id, merged, self.clk_threshold, started)
+
+    def _query(self, method: str, args: tuple) -> Dict[int, object]:
+        """``_call`` on each executor that owns a shard: one that owns
+        none (``replicas > shards``) could only answer an empty list."""
+        return self._call(method, owners={
+            index: args for index in range(self._executors)
+            if _owned_shards(index, self._executors, self.config.shards)})
 
     def _call(self, method: str, args: tuple = (),
               owners: Optional[Dict[int, tuple]] = None) -> Dict[int, object]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.data import OverlapBlocker, blocking_recall, load_dataset
 from repro.data.blocking import BlockingResult
+from repro.data.generators.registry import DATASET_NAMES
 
 
 class TestOverlapBlocker:
@@ -209,3 +210,37 @@ class TestTokenMemo:
         finally:
             blocking._TOKEN_CACHE_CAP = old_cap
             clear_token_cache()
+
+
+class TestAgainstBruteForce:
+    """The index sweep keeps exactly the pairs a pairwise scan over every
+    left x right pair keeps, in ``(-score, right id)`` order per left
+    record, on every dataset."""
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_equals_pairwise_overlap(self, name):
+        from repro.data.blocking import record_tokens
+
+        ds = load_dataset(name)
+        right = [(r, record_tokens(r)) for r in ds.right_table]
+        shared = {}
+        for left in ds.left_table:
+            mine = record_tokens(left)
+            shared[left.record_id] = [
+                (r, len(mine & theirs), min(len(mine), len(theirs)))
+                for r, theirs in right]
+        for threshold in (0.0, 0.3, 0.6):
+            for min_shared in (1, 2):
+                want = []
+                for left in ds.left_table:
+                    kept = [(r, count / smaller)
+                            for r, count, smaller in shared[left.record_id]
+                            if count >= min_shared
+                            and count / smaller >= threshold]
+                    kept.sort(key=lambda hit: (-hit[1], hit[0].record_id))
+                    want += [(left.record_id, r.record_id) for r, _ in kept]
+                result = OverlapBlocker(threshold, min_shared).block(
+                    ds.left_table, ds.right_table)
+                got = [(l.record_id, r.record_id)
+                       for l, r in result.candidates]
+                assert got == want, (threshold, min_shared)

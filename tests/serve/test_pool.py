@@ -364,6 +364,39 @@ class TestSerialEqualsForked:
 
 
 @needs_fork
+class TestShardlessReplica:
+    def test_match_scatters_skip_a_replica_without_shards(
+            self, bundle, catalog, monkeypatch):
+        """With more replicas than shards, replica 1 owns no shard: a
+        match and a clk_match send it no ``call`` (it could only answer
+        an empty list), and both still find their candidates."""
+        encoder = ClkEncoder("pool-salt", ClkConfig(nbits=256, num_hashes=8))
+        filters = [(record.record_id, encoder.encode_record(record))
+                   for record in catalog[:6]]
+        sent = []
+        send = _Replica.send
+
+        def recording_send(self, message):
+            sent.append((self.index, message[0]))
+            send(self, message)
+
+        monkeypatch.setattr(_Replica, "send", recording_send)
+        pool = ServingPool(bundle, PoolConfig(replicas=2, shards=1),
+                           clk_words=encoder.config.words)
+        pool.catalog_add(catalog)
+        with pool:
+            assert not pool.serial
+            pool.catalog_add_clk(filters)
+            del sent[:]
+            matched = pool.match(catalog[0], k=3, timeout=60.0)
+            clk = pool.clk_match("q", filters[0][1], k=3)
+            calls = [index for index, kind in sent if kind == "call"]
+        assert matched.candidates
+        assert clk.candidates[0].record_id == filters[0][0]
+        assert calls == [0, 0]
+
+
+@needs_fork
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
                     reason="no /dev/shm on this platform")
 class TestSharedMemoryCleanup:
