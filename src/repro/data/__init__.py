@@ -1,6 +1,8 @@
 """Data substrate: records, serialization, datasets, blocking, generators."""
 
-from .blocking import BlockingResult, OverlapBlocker, blocking_recall
+from .blocking import (
+    BlockingResult, OverlapBlocker, OverlapIndex, blocking_recall,
+)
 from .dataset import (
     CandidatePair, DatasetStatistics, GEMDataset, LowResourceView, split_pairs,
 )
@@ -17,7 +19,7 @@ __all__ = [
     "serialize", "serialize_pair",
     "CandidatePair", "GEMDataset", "LowResourceView", "DatasetStatistics",
     "split_pairs",
-    "OverlapBlocker", "BlockingResult", "blocking_recall",
+    "OverlapBlocker", "OverlapIndex", "BlockingResult", "blocking_recall",
     "MinHashBlocker", "MinHasher",
     "DATASET_NAMES", "load_dataset", "load_all", "make_generator",
     "save_dataset", "load_dataset_file", "load_machamp_dir", "save_machamp_dir",

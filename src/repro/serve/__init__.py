@@ -7,7 +7,8 @@ service (the deployment form real EM systems take):
   template, verbalizer, tuned threshold) that a server loads without
   importing any training code;
 * :class:`ServingIndex` -- an incrementally maintained inverted-index
-  catalog with top-k candidate retrieval;
+  catalog with top-k candidate retrieval
+  (:class:`repro.data.blocking.OverlapIndex` under its serving name);
 * :class:`DenseCandidateIndex` -- the same catalog protocol over a
   :mod:`repro.ann` embedding index (sub-linear dense retrieval), selected
   per-server via ``candidate_mode`` and flippable through

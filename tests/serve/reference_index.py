@@ -1,6 +1,7 @@
 """The dict-of-set ``ServingIndex`` kept as the oracle for the array index.
 
-:class:`repro.serve.index.ServingIndex` replaced this implementation;
+:class:`repro.data.blocking.OverlapIndex` (served as
+:class:`repro.serve.ServingIndex`) replaced this implementation;
 the tests apply the same operations to both and require equal ``len``,
 ``get``, ``stats()`` and candidates. Below this paragraph and the
 imports, the module is the replaced one, unchanged.
