@@ -9,12 +9,12 @@ with the candidate catalog hash-sharded across them.
 Two numbers matter:
 
 * **throughput scaling** -- ``pool x`` is each replica count against the
-  single-process server. Like ``bench_parallel.py``, scaling is
-  hardware-bound: forked replicas only run concurrently when the host
-  grants multiple cores, so ``pool x`` approaches the replica count on
-  multicore hosts and honestly hovers near (or below -- the router adds
-  pipe hops) 1.0x on a single-core container where every process
-  time-slices one CPU. The title and JSON record ``cores``;
+  single-process server. Scaling is hardware-bound: forked replicas only
+  run concurrently when the host grants multiple cores, so ``pool x``
+  approaches the replica count on multicore hosts and honestly hovers
+  near (or below -- the router adds pipe hops) 1.0x on a single-core
+  container where every process time-slices one CPU. The title and JSON
+  record ``cores``;
 * **bit-identity** -- the part no hardware can change. Every replica logs
   the exact pair composition of its micro-batches; replaying every logged
   batch through an offline :class:`repro.infer.InferenceEngine` must

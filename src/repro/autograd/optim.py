@@ -84,9 +84,9 @@ class Optimizer:
         self._offsets = [0]
         for size in sizes:
             self._offsets.append(self._offsets[-1] + size)
-        self._dtype = np.result_type(*(p.data.dtype for p in self.parameters))
-        self._flat = np.empty(self._offsets[-1], dtype=self._dtype)
-        self._grad = np.zeros(self._offsets[-1], dtype=self._dtype)
+        dtype = np.result_type(*(p.data.dtype for p in self.parameters))
+        self._flat = np.empty(self._offsets[-1], dtype=dtype)
+        self._grad = np.zeros(self._offsets[-1], dtype=dtype)
         self._views: List[np.ndarray] = [None] * len(self.parameters)
         self._mask_cache: Dict[Tuple[bool, ...], np.ndarray] = {}
         for i, p in enumerate(self.parameters):
@@ -113,29 +113,6 @@ class Optimizer:
             if p.data is not self._views[i]:
                 self._adopt(i, p)
 
-    def flatten_grads(self, out: Optional[np.ndarray] = None
-                      ) -> Tuple[bool, ...]:
-        """Gather per-parameter gradients into one flat vector.
-
-        Writes into ``out`` when given (e.g. a shared-memory gradient slot;
-        must match ``flat_size``), else into the internal grad buffer.
-        Absent gradients leave zeroed segments. Returns the per-parameter
-        presence tuple, which :meth:`step_flat` accepts to reproduce the
-        skip-missing-parameters semantics after an external reduction.
-        """
-        target = self._grad if out is None else out
-        if target.shape != self._grad.shape:
-            raise ValueError(f"flat gradient output has shape {target.shape},"
-                             f" expected {self._grad.shape}")
-        present = tuple(p.grad is not None for p in self.parameters)
-        for i, p in enumerate(self.parameters):
-            seg = target[self._segment(i)]
-            if p.grad is None:
-                seg[:] = 0.0
-            else:
-                np.copyto(seg, p.grad.reshape(-1), casting="same_kind")
-        return present
-
     def _present_mask(self, present: Tuple[bool, ...]
                       ) -> Optional[np.ndarray]:
         """Element mask for a presence tuple (``None`` = all present)."""
@@ -152,8 +129,17 @@ class Optimizer:
 
     def _gather(self) -> Optional[np.ndarray]:
         """Fill the flat grad buffer; returns the element mask of parameters
-        that have a gradient, or ``None`` when every parameter does."""
-        return self._present_mask(self.flatten_grads())
+        that have a gradient, or ``None`` when every parameter does.
+
+        Absent gradients leave zeroed segments."""
+        present = tuple(p.grad is not None for p in self.parameters)
+        for i, p in enumerate(self.parameters):
+            seg = self._grad[self._segment(i)]
+            if p.grad is None:
+                seg[:] = 0.0
+            else:
+                np.copyto(seg, p.grad.reshape(-1), casting="same_kind")
+        return self._present_mask(present)
 
     def _clip_flat(self, max_norm: float) -> float:
         """Global-norm clip over the gathered flat gradient buffer.
@@ -195,68 +181,6 @@ class Optimizer:
 
     def _update(self, mask: Optional[np.ndarray]) -> None:
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Flat-buffer parallel API (see repro.parallel)
-    # ------------------------------------------------------------------
-    @property
-    def flat_size(self) -> int:
-        """Total element count of the flat parameter buffer."""
-        return len(self._flat)
-
-    @property
-    def flat_dtype(self) -> np.dtype:
-        """dtype of the flat parameter buffer."""
-        return self._dtype
-
-    @property
-    def flat_data(self) -> np.ndarray:
-        """The live flat parameter vector (views re-synced first).
-
-        This is the buffer itself, not a copy: read it to publish a
-        snapshot, never mutate it directly.
-        """
-        self._sync_views()
-        return self._flat
-
-    def load_flat(self, values: np.ndarray) -> None:
-        """Overwrite every parameter from a flat vector.
-
-        Workers use this to adopt a published parameter snapshot without
-        touching per-parameter arrays; all module views update for free
-        since they alias the flat buffer.
-        """
-        values = np.asarray(values)
-        if values.shape != self._flat.shape:
-            raise ValueError(f"flat parameter vector has shape "
-                             f"{values.shape}, expected {self._flat.shape}")
-        self._sync_views()
-        np.copyto(self._flat, values, casting="same_kind")
-
-    def step_flat(self, flat_grad: np.ndarray,
-                  grad_clip: Optional[float] = None,
-                  present: Optional[Tuple[bool, ...]] = None
-                  ) -> Optional[float]:
-        """Apply one update from an externally reduced flat gradient.
-
-        The data-parallel trainer sums per-shard gradients (gathered with
-        :meth:`flatten_grads`) into one vector and hands it here; the math
-        from this point on is exactly :meth:`step`'s -- same clip, same
-        fused update, same skip-missing semantics via ``present`` (the
-        element-wise OR of the shards' presence tuples).
-        """
-        self._sync_views()
-        if flat_grad is not self._grad:
-            if flat_grad.shape != self._grad.shape:
-                raise ValueError(f"flat gradient has shape {flat_grad.shape},"
-                                 f" expected {self._grad.shape}")
-            np.copyto(self._grad, flat_grad, casting="same_kind")
-        mask = None if present is None else self._present_mask(tuple(present))
-        norm = None
-        if grad_clip is not None:
-            norm = self._clip_flat(grad_clip)
-        self._update(mask)
-        return norm
 
     # ------------------------------------------------------------------
     # Serialization

@@ -138,14 +138,12 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_matcher(method: str, model_name: str,
-                  workers: Optional[int] = None):
+def _make_matcher(method: str, model_name: str):
     from .baselines import BASELINE_NAMES, make_baseline
     from .core import PromptEM, PromptEMConfig
 
     if method == "PromptEM":
-        return PromptEM(PromptEMConfig(model_name=model_name,
-                                       workers=workers))
+        return PromptEM(PromptEMConfig(model_name=model_name))
     if method in BASELINE_NAMES:
         kwargs = {}
         if method not in ("DeepMatcher", "TDmatch", "TDmatch*"):
@@ -172,11 +170,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"{dataset.name}: {len(view.labeled)} labeled / "
           f"{len(view.unlabeled)} unlabeled / {len(view.test)} test")
 
-    matcher = _make_matcher(args.method, args.model, workers=args.workers)
+    matcher = _make_matcher(args.method, args.model)
     with _telemetry(args) as tel:
         tel.event("run.start", method=args.method, dataset=dataset.name,
                   model=args.model, seed=args.seed,
-                  workers=args.workers,
                   labeled=len(view.labeled), unlabeled=len(view.unlabeled),
                   test=len(view.test))
         start = time.time()
@@ -701,9 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--count", type=int, default=None,
                      help="exact number of labels (overrides --rate)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker processes for training/inference "
-                          "(PromptEM only; results identical at any count)")
     run.add_argument("--save", help="save the fitted matcher to this path")
     run.add_argument("--save-bundle", metavar="DIR",
                      help="export the trained model as a serving bundle "

@@ -64,15 +64,8 @@ class PromptEMConfig:
     use_engine: bool = True
     token_budget: int = 2048
     engine_cache: int = 8192
-    #: worker processes for training, inference and MC-Dropout sweeps
-    #: (see ``repro.parallel``). ``None`` keeps the legacy in-process
-    #: paths; any int >= 1 switches to the data-parallel paths, whose
-    #: results are identical at every worker count.
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be None or >= 1")
         if self.template not in ("t1", "t2"):
             raise ValueError("template must be 't1' or 't2'")
         if self.label_words not in ("designed", "simple"):

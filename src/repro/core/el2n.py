@@ -19,7 +19,6 @@ from ..data.dataset import CandidatePair
 from ..infer import InferenceEngine
 from ..obs import get_telemetry
 from .trainer import stochastic_proba
-from .uncertainty import _worker_engine
 
 
 def el2n_scores(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -36,19 +35,15 @@ def mc_el2n_scores(model: Module, pairs: Sequence[CandidatePair],
                    labels: np.ndarray, passes: int = 10,
                    batch_size: int = 32,
                    engine: Optional[InferenceEngine] = None,
-                   seed: int = 0, workers: Optional[int] = None) -> np.ndarray:
+                   seed: int = 0) -> np.ndarray:
     """MC-EL2N: mean EL2N over ``passes`` stochastic forward passes.
 
-    With an ``engine``, all passes run in one vectorized MC-Dropout sweep;
-    ``workers`` (without an ``engine``) builds a transient engine sharding
-    its buckets over forked processes -- identical scores either way.
+    With an ``engine``, all passes run in one vectorized MC-Dropout sweep.
     """
     if passes < 1:
         raise ValueError("need at least one stochastic pass")
     if not len(pairs):
         return np.zeros(0)
-    if engine is None:
-        engine = _worker_engine(workers, batch_size)
     labels = np.asarray(labels, dtype=np.int64)
     if engine is not None:
         stacked = engine.mc_dropout_proba(model, pairs, passes=passes,
@@ -77,8 +72,7 @@ def prune_dataset(model: Module, pairs: List[CandidatePair],
                   batch_size: int = 32,
                   min_remaining: int = 4,
                   engine: Optional[InferenceEngine] = None,
-                  seed: int = 0,
-                  workers: Optional[int] = None) -> List[CandidatePair]:
+                  seed: int = 0) -> List[CandidatePair]:
     """Drop the least-important samples; never shrink below ``min_remaining``.
 
     Also refuses to prune away the last examples of either class -- a
@@ -88,8 +82,7 @@ def prune_dataset(model: Module, pairs: List[CandidatePair],
         return pairs
     labels = np.array([p.label for p in pairs], dtype=np.int64)
     scores = mc_el2n_scores(model, pairs, labels, passes=passes,
-                            batch_size=batch_size, engine=engine, seed=seed,
-                            workers=workers)
+                            batch_size=batch_size, engine=engine, seed=seed)
     drop = set(select_prunable(scores, ratio).tolist())
     if len(pairs) - len(drop) < min_remaining:
         ordered = sorted(drop, key=lambda i: scores[i])

@@ -116,23 +116,10 @@ class SequenceClassifier(Module):
 
     def loss_encoded(self, encodings: Sequence[PairEncoding],
                      labels: np.ndarray,
-                     sample_weights: Optional[np.ndarray] = None,
-                     reduction: str = "mean") -> Tensor:
-        """Same loss from pre-rendered encodings (trainer fastpath).
-
-        ``reduction="sum"`` scales the fused weighted-mean cross-entropy
-        back up by the batch's weight total, giving the unnormalized sum
-        the data-parallel trainer reduces across micro-shards.
-        """
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {reduction!r}")
+                     sample_weights: Optional[np.ndarray] = None) -> Tensor:
+        """Same loss from pre-rendered encodings (trainer fastpath)."""
         ids, pad_mask = pad_batch([enc.ids for enc in encodings],
                                   pad_id=self.tokenizer.vocab.pad_id)
-        labels = np.asarray(labels, dtype=np.int64)
-        loss = F.cross_entropy(self._logits_from_ids(ids, pad_mask), labels,
+        return F.cross_entropy(self._logits_from_ids(ids, pad_mask),
+                               np.asarray(labels, dtype=np.int64),
                                sample_weights=sample_weights)
-        if reduction == "sum":
-            total = (float(np.asarray(sample_weights, np.float64).sum())
-                     if sample_weights is not None else float(len(labels)))
-            loss = loss * total
-        return loss

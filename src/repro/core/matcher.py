@@ -67,8 +67,7 @@ class PromptEM:
                 token_budget=cfg.token_budget,
                 max_batch_pairs=max(cfg.batch_size, 32),
                 cache_capacity=cfg.engine_cache,
-                base_seed=cfg.seed,
-                workers=cfg.workers if cfg.workers is not None else 1))
+                base_seed=cfg.seed))
         return self._engine
 
     # ------------------------------------------------------------------
@@ -149,8 +148,7 @@ class PromptEM:
                 weight_decay=cfg.weight_decay, grad_clip=cfg.grad_clip,
                 seed=cfg.seed,
                 use_engine=cfg.use_engine, token_budget=cfg.token_budget,
-                engine_cache=cfg.engine_cache,
-                workers=cfg.workers)
+                engine_cache=cfg.engine_cache)
             trainer = LightweightSelfTrainer(self._make_model, st_config)
             self.model, self.report = trainer.run(labeled, unlabeled, valid)
         else:
@@ -158,8 +156,7 @@ class PromptEM:
             Trainer(self.model, TrainerConfig(
                 epochs=cfg.teacher_epochs, batch_size=cfg.batch_size,
                 lr=cfg.lr, weight_decay=cfg.weight_decay,
-                grad_clip=cfg.grad_clip, seed=cfg.seed,
-                workers=cfg.workers)).fit(
+                grad_clip=cfg.grad_clip, seed=cfg.seed)).fit(
                 labeled, valid=valid)
             self.report = None
         return self

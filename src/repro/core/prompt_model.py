@@ -172,20 +172,13 @@ class PromptModel(Module):
 
     def loss_encoded(self, encodings: Sequence[PairEncoding],
                      labels: np.ndarray,
-                     sample_weights: Optional[np.ndarray] = None,
-                     reduction: str = "mean") -> Tensor:
+                     sample_weights: Optional[np.ndarray] = None) -> Tensor:
         """Same loss from pre-rendered encodings (trainer fastpath).
 
         Lets :class:`~repro.core.trainer.Trainer` reuse the inference
         engine's encoding cache for training batches instead of
-        re-serializing every pair each epoch. ``reduction="sum"`` returns
-        the *unnormalized* (weighted) sum -- the data-parallel trainer sums
-        per-shard losses and divides by the full batch's weight total
-        itself, so the normalizer never depends on how the batch was
-        sharded.
+        re-serializing every pair each epoch.
         """
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown reduction {reduction!r}")
         probs = self._class_probs(self.mask_logits_encoded(encodings))
         labels = np.asarray(labels, dtype=np.int64)
         picked = probs[(np.arange(len(labels)), labels)]
@@ -193,10 +186,8 @@ class PromptModel(Module):
         if sample_weights is not None:
             weights = np.asarray(sample_weights, dtype=np.float64)
             weighted = -(logs * Tensor(weights)).sum()
-            if reduction == "sum":
-                return weighted
             total = weights.sum()
             if total <= 0:
                 return Tensor(0.0)
             return weighted / total
-        return -logs.sum() if reduction == "sum" else -logs.mean()
+        return -logs.mean()

@@ -53,10 +53,6 @@ class SelfTrainingConfig:
     use_engine: bool = True
     token_budget: int = 2048
     engine_cache: int = 8192
-    #: worker processes for both trainers and the shared engine (see
-    #: ``TrainerConfig.workers`` / ``EngineConfig.workers``); ``None``
-    #: keeps everything on the legacy in-process paths
-    workers: Optional[int] = None
 
 
 @dataclass
@@ -88,8 +84,7 @@ class LightweightSelfTrainer:
         return TrainerConfig(epochs=epochs, batch_size=cfg.batch_size,
                              lr=cfg.lr, weight_decay=cfg.weight_decay,
                              grad_clip=cfg.grad_clip,
-                             seed=cfg.seed + seed_offset,
-                             workers=cfg.workers)
+                             seed=cfg.seed + seed_offset)
 
     def _make_engine(self) -> Optional[InferenceEngine]:
         cfg = self.config
@@ -99,8 +94,7 @@ class LightweightSelfTrainer:
             token_budget=cfg.token_budget,
             max_batch_pairs=max(cfg.batch_size, 32),
             cache_capacity=cfg.engine_cache,
-            base_seed=cfg.seed,
-            workers=cfg.workers if cfg.workers is not None else 1))
+            base_seed=cfg.seed))
 
     def run(self, labeled: Sequence[CandidatePair],
             unlabeled: Sequence[CandidatePair],

@@ -7,21 +7,18 @@ select the epoch with the highest F1-score on the validation set").
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..autograd import AdamW, DropoutPlan, Module, dropout_plan
+from ..autograd import AdamW, Module
 from ..data.dataset import CandidatePair
 from ..eval.metrics import ConfusionMatrix
 from ..infer import EngineConfig, InferenceEngine
 from ..infer.engine import pack_buckets
-from ..obs import fingerprint_digest, get_telemetry
-from ..parallel import (GradientBoard, ParameterPublisher, WorkerPool,
-                        shard_indices)
+from ..obs import get_telemetry
 
 
 @dataclass
@@ -51,18 +48,6 @@ class TrainerConfig:
     #: ``batch_size`` slices of ``rng.permutation``) -- the parity mode the
     #: training benchmark and regression tests use to compare trajectories.
     preserve_rng_order: bool = False
-    #: ``None`` keeps the legacy in-process loop (stateful dropout rngs).
-    #: Any int >= 1 switches to the data-parallel micro-shard path, whose
-    #: trained weights are **bit-identical at every worker count** (1
-    #: included): shard boundaries and dropout plans depend only on
-    #: ``grad_shards`` and the batch, and shard gradients reduce in fixed
-    #: order. Needs a model speaking the encoded-training protocol with
-    #: ``reduction`` support; anything else falls back to the legacy loop.
-    workers: Optional[int] = None
-    #: micro-shards per mini-batch on the data-parallel path. Part of the
-    #: result (each shard carries its own dropout plan), not a free perf
-    #: knob: change it and trajectories legitimately change.
-    grad_shards: int = 4
 
 
 @dataclass
@@ -176,101 +161,6 @@ def evaluate_f1(model: Module, pairs: Sequence[CandidatePair],
     return ConfusionMatrix.from_labels(truth, preds).f1
 
 
-class _ShardedTrainSession:
-    """Data-parallel micro-shard training over one (train, weights) set.
-
-    Per optimizer step the mini-batch splits into ``grad_shards`` fixed
-    micro-shards (:func:`shard_indices` of the batch -- worker-count
-    independent). Each shard runs a forward/backward with an *unnormalized
-    sum* loss under its own :class:`DropoutPlan` (seeded by global step +
-    shard slot, so masks are reproducible in any process) and gathers its
-    flat gradient into a :class:`GradientBoard` slot. The parent reduces
-    the slots in fixed slot order, scales once by the full batch's weight
-    total, and applies :meth:`Optimizer.step_flat` -- then publishes the
-    new parameters through shared memory for the workers' next pull.
-
-    Workers fork once per session and hold the model via copy-on-write;
-    the only steady-state traffic is one shm parameter pull per worker per
-    step plus tiny task/result pickles. With ``workers <= 1`` (or no fork
-    / no shared memory) the identical shard math runs in-process.
-    """
-
-    def __init__(self, trainer: "Trainer", train: Sequence[CandidatePair],
-                 encodings: Sequence, weights: Optional[np.ndarray]) -> None:
-        cfg = trainer.config
-        self.cfg = cfg
-        self.model = trainer.model
-        self.optimizer = trainer.optimizer
-        self.encodings = encodings
-        self.labels = np.array([p.label for p in train], dtype=np.int64)
-        self.weights = weights
-        fingerprint = getattr(self.model, "encoding_fingerprint", None)
-        self.fingerprint = fingerprint_digest(fingerprint()) \
-            if fingerprint else ""
-        tel = get_telemetry()
-        if tel.enabled and self.fingerprint:
-            tel.event("trainer.fingerprint", fingerprint=self.fingerprint,
-                      grad_shards=cfg.grad_shards, workers=cfg.workers)
-        self.publisher = ParameterPublisher(self.optimizer, self.fingerprint)
-        self.board = GradientBoard(max(cfg.grad_shards, 1),
-                                   self.optimizer.flat_size,
-                                   self.optimizer.flat_dtype)
-        workers = cfg.workers
-        # real parallelism additionally needs shared memory for the
-        # parameter broadcast and the gradient board; without it the
-        # same sharded algorithm runs in-process (results unchanged)
-        if not (self.publisher.is_shared and self.board.is_shared):
-            workers = 1
-        self.publisher.publish(self.optimizer)
-        self.pool = WorkerPool(workers, self._shard_task)
-        self._reduce_buf = np.zeros(self.optimizer.flat_size,
-                                    dtype=self.optimizer.flat_dtype)
-
-    def _shard_task(self, task):
-        """Worker side: one micro-shard forward/backward; grad into shm."""
-        step, slot, idx = task
-        self.publisher.pull(self.optimizer, self.fingerprint)
-        self.model.train()
-        shard_weights = self.weights[idx] if self.weights is not None else None
-        plan = DropoutPlan(base_seed=self.cfg.seed, pass_seeds=(slot,),
-                           batch_index=step)
-        self.optimizer.zero_grad()
-        with dropout_plan(plan):
-            loss = self.model.loss_encoded(
-                [self.encodings[i] for i in idx], self.labels[idx],
-                sample_weights=shard_weights, reduction="sum")
-        loss.backward()
-        present = self.optimizer.flatten_grads(self.board.slot(slot))
-        return float(loss.item()), present
-
-    def step(self, step_index: int, idx: np.ndarray):
-        """One optimizer step over batch ``idx``.
-
-        Returns ``(mean_loss, grad_norm)`` -- the pre-clip global gradient
-        norm the fused update measured, which the trainer's per-step
-        telemetry reports.
-        """
-        shards = shard_indices(len(idx), self.cfg.grad_shards)
-        results = self.pool.map(
-            [(step_index, slot, idx[shard])
-             for slot, shard in enumerate(shards)])
-        reduced = self.board.reduce(len(shards), out=self._reduce_buf)
-        total = (float(self.weights[idx].sum())
-                 if self.weights is not None else float(len(idx)))
-        reduced *= 1.0 / total
-        present = tuple(any(flags) for flags in
-                        zip(*(present for _, present in results)))
-        grad_norm = self.optimizer.step_flat(
-            reduced, grad_clip=self.cfg.grad_clip, present=present)
-        self.publisher.publish(self.optimizer)
-        return sum(loss for loss, _ in results) / total, grad_norm
-
-    def close(self) -> None:
-        self.pool.close()
-        self.board.close()
-        self.publisher.close()
-
-
 class Trainer:
     """Epoch loop with shuffling, clipping and best-on-valid checkpointing."""
 
@@ -308,7 +198,6 @@ class Trainer:
         # calibration and the training fastpath all share its encoding cache.
         engine = _transient_engine(cfg.batch_size)
         encodings, lengths = self._train_encodings(engine, train)
-        session = self._sharded_session(train, encodings, weights)
 
         history = TrainHistory()
         best_f1 = -1.0
@@ -320,117 +209,100 @@ class Trainer:
             tel.event("trainer.fit.start", n_train=len(train),
                       n_valid=len(valid) if valid else 0,
                       epochs=cfg.epochs, batch_size=cfg.batch_size,
-                      lr=cfg.lr, workers=cfg.workers,
-                      grad_shards=cfg.grad_shards,
-                      sharded=session is not None)
+                      lr=cfg.lr)
 
-        try:
-            with tel.span("trainer.fit", epochs=cfg.epochs):
-                for epoch in range(cfg.epochs):
-                    order = rng.permutation(len(train))
-                    self.model.train()
-                    epoch_losses = []
-                    epoch_tokens = 0
-                    epoch_started = time.perf_counter()
-                    with tel.span("trainer.epoch", epoch=epoch):
-                        for idx in self._epoch_batches(order, lengths, rng):
-                            if session is not None:
-                                loss_value, grad_norm = session.step(
-                                    history.steps, idx)
-                            else:
-                                labels = np.array(
-                                    [train[i].label for i in idx],
-                                    dtype=np.int64)
-                                batch_weights = weights[idx] \
-                                    if weights is not None else None
-                                if encodings is not None:
-                                    loss = self.model.loss_encoded(
-                                        [encodings[i] for i in idx], labels,
-                                        sample_weights=batch_weights)
-                                else:
-                                    loss = self.model.loss(
-                                        [train[i] for i in idx], labels,
-                                        sample_weights=batch_weights)
-                                self.optimizer.zero_grad()
-                                loss.backward()
-                                grad_norm = self.optimizer.step(
-                                    grad_clip=cfg.grad_clip)
-                                loss_value = loss.item()
-                            epoch_losses.append(loss_value)
-                            if tel.enabled:
-                                epoch_tokens += int(sum(
-                                    lengths[i] for i in idx)) \
-                                    if lengths is not None else 0
-                                tel.metrics.counter("trainer.steps").inc()
-                                tel.metrics.histogram(
-                                    "trainer.loss").observe(loss_value)
-                                tel.event(
-                                    "trainer.step", step=history.steps,
-                                    epoch=epoch, loss=float(loss_value),
-                                    grad_norm=None if grad_norm is None
-                                    else float(grad_norm),
-                                    lr=self.optimizer.lr)
-                            history.steps += 1
-                    epoch_elapsed = time.perf_counter() - epoch_started
-                    history.losses.append(float(np.mean(epoch_losses)))
+        with tel.span("trainer.fit", epochs=cfg.epochs):
+            for epoch in range(cfg.epochs):
+                order = rng.permutation(len(train))
+                self.model.train()
+                epoch_losses = []
+                epoch_tokens = 0
+                epoch_started = time.perf_counter()
+                with tel.span("trainer.epoch", epoch=epoch):
+                    for idx in self._epoch_batches(order, lengths, rng):
+                        labels = np.array([train[i].label for i in idx],
+                                          dtype=np.int64)
+                        batch_weights = weights[idx] \
+                            if weights is not None else None
+                        if encodings is not None:
+                            loss = self.model.loss_encoded(
+                                [encodings[i] for i in idx], labels,
+                                sample_weights=batch_weights)
+                        else:
+                            loss = self.model.loss(
+                                [train[i] for i in idx], labels,
+                                sample_weights=batch_weights)
+                        self.optimizer.zero_grad()
+                        loss.backward()
+                        grad_norm = self.optimizer.step(
+                            grad_clip=cfg.grad_clip)
+                        loss_value = loss.item()
+                        epoch_losses.append(loss_value)
+                        if tel.enabled:
+                            epoch_tokens += int(sum(
+                                lengths[i] for i in idx)) \
+                                if lengths is not None else 0
+                            tel.metrics.counter("trainer.steps").inc()
+                            tel.metrics.histogram(
+                                "trainer.loss").observe(loss_value)
+                            tel.event(
+                                "trainer.step", step=history.steps,
+                                epoch=epoch, loss=float(loss_value),
+                                grad_norm=None if grad_norm is None
+                                else float(grad_norm),
+                                lr=self.optimizer.lr)
+                        history.steps += 1
+                epoch_elapsed = time.perf_counter() - epoch_started
+                history.losses.append(float(np.mean(epoch_losses)))
 
-                    f1 = None
-                    threshold = None
-                    if valid:
-                        with tel.span("trainer.validate", epoch=epoch):
-                            probs = predict_proba(self.model, valid,
-                                                  batch_size=cfg.batch_size,
-                                                  engine=engine)
-                            truth = np.array([p.label for p in valid],
-                                             dtype=np.int64)
-                            threshold = (tune_threshold(probs, truth)
-                                         if cfg.calibrate_threshold else None)
-                            if threshold is None:
-                                preds = probs.argmax(axis=1)
-                            else:
-                                preds = (probs[:, 1] > threshold).astype(
-                                    np.int64)
-                            f1 = ConfusionMatrix.from_labels(truth, preds).f1
-                        history.valid_f1.append(f1)
-                        if cfg.select_best_on_valid and f1 > best_f1:
-                            best_f1 = f1
-                            best_state = self.model.state_dict()
-                            best_threshold = threshold
-                            history.best_epoch = epoch
+                f1 = None
+                threshold = None
+                if valid:
+                    with tel.span("trainer.validate", epoch=epoch):
+                        probs = predict_proba(self.model, valid,
+                                              batch_size=cfg.batch_size,
+                                              engine=engine)
+                        truth = np.array([p.label for p in valid],
+                                         dtype=np.int64)
+                        threshold = (tune_threshold(probs, truth)
+                                     if cfg.calibrate_threshold else None)
+                        if threshold is None:
+                            preds = probs.argmax(axis=1)
+                        else:
+                            preds = (probs[:, 1] > threshold).astype(
+                                np.int64)
+                        f1 = ConfusionMatrix.from_labels(truth, preds).f1
+                    history.valid_f1.append(f1)
+                    if cfg.select_best_on_valid and f1 > best_f1:
+                        best_f1 = f1
+                        best_state = self.model.state_dict()
+                        best_threshold = threshold
+                        history.best_epoch = epoch
 
-                    if tel.enabled:
-                        tel.metrics.gauge("trainer.epoch").set(epoch)
-                        tel.event(
-                            "trainer.epoch", epoch=epoch,
-                            loss=history.losses[-1], steps=history.steps,
-                            valid_f1=f1, threshold=threshold,
-                            tokens=epoch_tokens,
-                            tokens_per_sec=epoch_tokens / epoch_elapsed
-                            if epoch_elapsed > 0 else 0.0,
-                            examples_per_sec=len(train) / epoch_elapsed
-                            if epoch_elapsed > 0 else 0.0)
+                if tel.enabled:
+                    tel.metrics.gauge("trainer.epoch").set(epoch)
+                    tel.event(
+                        "trainer.epoch", epoch=epoch,
+                        loss=history.losses[-1], steps=history.steps,
+                        valid_f1=f1, threshold=threshold,
+                        tokens=epoch_tokens,
+                        tokens_per_sec=epoch_tokens / epoch_elapsed
+                        if epoch_elapsed > 0 else 0.0,
+                        examples_per_sec=len(train) / epoch_elapsed
+                        if epoch_elapsed > 0 else 0.0)
 
-                    if epoch_callback is not None:
-                        replacement = epoch_callback(epoch, self)
-                        if replacement is not None:
-                            train = list(replacement)
-                            if not train:
-                                break
-                            if weights is not None and \
-                                    len(weights) != len(train):
-                                weights = (_class_balance_weights(train)
-                                           if cfg.balance_classes else None)
-                            encodings, lengths = self._train_encodings(
-                                engine, train)
-                            # forked workers hold the old train set via their
-                            # closures; a replacement needs a fresh session
-                            if session is not None:
-                                session.close()
-                                session = self._sharded_session(
-                                    train, encodings, weights)
-        finally:
-            if session is not None:
-                session.close()
+                if epoch_callback is not None:
+                    replacement = epoch_callback(epoch, self)
+                    if replacement is not None:
+                        train = list(replacement)
+                        if not train:
+                            break
+                        if weights is not None and \
+                                len(weights) != len(train):
+                            weights = (_class_balance_weights(train)
+                                       if cfg.balance_classes else None)
+                        encodings, lengths = self._train_encodings(
+                            engine, train)
 
         if best_state is not None:
             self.model.load_state_dict(best_state)
@@ -441,25 +313,6 @@ class Trainer:
         return history
 
     # ------------------------------------------------------------------
-    def _sharded_session(self, train: Sequence[CandidatePair],
-                         encodings, weights: Optional[np.ndarray]
-                         ) -> Optional[_ShardedTrainSession]:
-        """Build the data-parallel session when configured and supported.
-
-        Requires ``config.workers`` to be set, cached encodings (the
-        encoded-training protocol) and a ``loss_encoded`` that understands
-        ``reduction`` -- legacy models silently keep the in-process loop.
-        """
-        if self.config.workers is None or encodings is None:
-            return None
-        try:
-            signature = inspect.signature(self.model.loss_encoded)
-        except (TypeError, ValueError):  # pragma: no cover - C callables
-            return None
-        if "reduction" not in signature.parameters:
-            return None
-        return _ShardedTrainSession(self, train, encodings, weights)
-
     def _train_encodings(self, engine: InferenceEngine,
                          train: Sequence[CandidatePair]):
         """Cache training-pair encodings once per fit (and per replacement).

@@ -22,18 +22,9 @@ from scipy.cluster.vq import kmeans2
 
 from ..autograd import Module
 from ..data.dataset import CandidatePair
-from ..infer import EngineConfig, InferenceEngine
+from ..infer import InferenceEngine
 from ..obs import get_telemetry
 from .trainer import predict_proba, stochastic_proba
-
-
-def _worker_engine(workers: Optional[int],
-                   batch_size: int) -> Optional[InferenceEngine]:
-    """A transient engine when parallel scoring was requested without one."""
-    if workers is None or workers <= 1:
-        return None
-    return InferenceEngine(EngineConfig(max_batch_pairs=batch_size,
-                                        workers=workers))
 
 
 @dataclass
@@ -61,20 +52,16 @@ def hard_labels(model: Module, probs: np.ndarray) -> np.ndarray:
 def mc_dropout(model: Module, pairs: Sequence[CandidatePair],
                passes: int = 10, batch_size: int = 32,
                engine: Optional[InferenceEngine] = None,
-               seed: int = 0, workers: Optional[int] = None) -> McDropoutResult:
+               seed: int = 0) -> McDropoutResult:
     """Run MC-Dropout over ``pairs`` (paper default: 10 passes).
 
     With an ``engine``, all passes run as one tiled, length-bucketed forward
     per batch (vectorized MC-Dropout) with per-pass seeded dropout --
     bit-identical to the engine's sequential reference path. Without one,
-    the legacy per-pass loop is used. ``workers`` (without an ``engine``)
-    builds a transient engine that shards buckets over that many forked
-    processes -- same bits, more cores.
+    the legacy per-pass loop is used.
     """
     if passes < 2:
         raise ValueError("MC-Dropout needs at least 2 stochastic passes")
-    if engine is None:
-        engine = _worker_engine(workers, batch_size)
     if not pairs:
         empty = np.zeros((0, 2))
         return McDropoutResult(empty, np.zeros(0, dtype=np.int64),
@@ -161,7 +148,6 @@ def select_pseudo_labels(model: Module, unlabeled: Sequence[CandidatePair],
                          features: Optional[np.ndarray] = None,
                          seed: int = 0,
                          engine: Optional[InferenceEngine] = None,
-                         workers: Optional[int] = None,
                          ) -> PseudoLabelSelection:
     """Pick Top-N_P pseudo-labels from the unlabeled pool.
 
@@ -169,12 +155,8 @@ def select_pseudo_labels(model: Module, unlabeled: Sequence[CandidatePair],
     or ``clustering`` (Table 5 alternatives). Clustering needs ``features``
     (e.g. pooled encoder states); it falls back to mean probabilities.
     ``engine`` routes the stochastic/eval forwards through the batched
-    inference engine (cached encodings + vectorized MC-Dropout);
-    ``workers`` (without an ``engine``) makes that transient engine shard
-    its buckets across forked processes, selecting identical indices.
+    inference engine (cached encodings + vectorized MC-Dropout).
     """
-    if engine is None:
-        engine = _worker_engine(workers, batch_size)
     count = top_n_count(len(unlabeled), ratio)
     if count == 0:
         return PseudoLabelSelection(np.zeros(0, dtype=np.int64),

@@ -1,4 +1,4 @@
-"""Evaluation substrate: metrics, resources, reporting, protocol."""
+"""Evaluation substrate: metrics, reporting, protocol."""
 
 from .calibration import (
     CalibrationBin, CalibrationReport, calibration_report, overconfidence_rate,
@@ -11,13 +11,11 @@ from .significance import (
     BootstrapInterval, bootstrap_f1, paired_bootstrap_delta,
 )
 from .reporting import render_prf_table, render_series, render_table
-from .resources import ResourceMeter, ResourceReport, format_bytes, format_seconds
 
 __all__ = [
     "ConfusionMatrix", "PRF", "precision_recall_f1", "pseudo_label_quality",
     "CalibrationBin", "CalibrationReport", "calibration_report",
     "overconfidence_rate",
-    "ResourceMeter", "ResourceReport", "format_seconds", "format_bytes",
     "render_table", "render_prf_table", "render_series",
     "BootstrapInterval", "bootstrap_f1", "paired_bootstrap_delta",
     "ExperimentRunner", "RunResult", "BenchScale", "bench_scale",

@@ -18,8 +18,8 @@ if TYPE_CHECKING:  # avoid a circular import; Matcher is annotation-only here
 
 from ..data.dataset import GEMDataset, LowResourceView
 from ..data.generators.registry import DATASET_NAMES, load_dataset
+from ..obs.resources import ResourceMeter, ResourceReport
 from .metrics import PRF
-from .resources import ResourceMeter, ResourceReport
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from ..autograd import DropoutPlan, Module, dropout_plan, no_grad
 from ..autograd.tensor import get_default_dtype
 from ..data.dataset import CandidatePair
 from ..obs import get_telemetry
-from ..parallel import WorkerPool, effective_workers, shard_indices
 from .cache import EncodingCache
 
 
@@ -74,21 +73,12 @@ class EngineConfig:
     cache_capacity: int = 8192
     #: entropy mixed into every DropoutPlan the engine installs
     base_seed: int = 0
-    #: fork this many workers for encoding and for *deterministic* scoring
-    #: (eval mode or seeded MC-Dropout); ``<=1`` runs everything in-process.
-    #: The worker count never changes results -- buckets keep their global
-    #: index (hence their DropoutPlan) wherever they run.
-    workers: int = 1
-    #: minimum uncached pairs before parallel encode bothers forking a pool
-    parallel_encode_min: int = 64
 
     def __post_init__(self) -> None:
         if self.token_budget < 1:
             raise ValueError("token_budget must be >= 1")
         if self.max_batch_pairs < 1:
             raise ValueError("max_batch_pairs must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
 
 
 @dataclass
@@ -179,47 +169,9 @@ class InferenceEngine:
         keys = [(fingerprint, pair.left.content_key(),
                  pair.right.content_key())
                 for pair in pairs]
-        prefetched = self._parallel_encode(model, pairs, keys)
-        out = []
-        for pair, key in zip(pairs, keys):
-            def encode(p=pair, k=key):
-                ready = prefetched.get(k)
-                return ready if ready is not None else model.encode_pair(p)
-            out.append(self.cache.get_or_encode(key, encode))
-        return out
-
-    def _parallel_encode(self, model: Module,
-                         pairs: Sequence[CandidatePair],
-                         keys: Sequence[tuple]) -> dict:
-        """Pre-encode the uncached pairs on a forked pool; {key: encoding}.
-
-        ``encode_pair`` is deterministic, so where it runs cannot matter;
-        results are fed back through the cache's normal ``get_or_encode``
-        accounting so hit/miss counters match the serial path.
-        """
-        workers = effective_workers(self.config.workers)
-        if workers <= 1:
-            return {}
-        seen = set()
-        missing = []
-        for i, key in enumerate(keys):
-            if key not in self.cache and key not in seen:
-                seen.add(key)
-                missing.append(i)
-        if len(missing) < max(self.config.parallel_encode_min, workers):
-            return {}
-
-        def encode_chunk(chunk):
-            return [model.encode_pair(pairs[missing[j]]) for j in chunk]
-
-        chunks = shard_indices(len(missing), workers)
-        with WorkerPool(workers, encode_chunk) as pool:
-            encoded_chunks = pool.map(chunks)
-        prefetched = {}
-        for chunk, encoded in zip(chunks, encoded_chunks):
-            for j, encoding in zip(chunk, encoded):
-                prefetched[keys[missing[int(j)]]] = encoding
-        return prefetched
+        return [self.cache.get_or_encode(
+                    key, lambda p=pair: model.encode_pair(p))
+                for pair, key in zip(pairs, keys)]
 
     def encodings(self, model: Module,
                   pairs: Sequence[CandidatePair]) -> List[PairEncoding]:
@@ -309,53 +261,16 @@ class InferenceEngine:
         buckets = pack_buckets(lengths,
                                max(self.config.token_budget // pack_tiles, 1),
                                self.config.max_batch_pairs)
-        workers = effective_workers(self.config.workers)
-        # Parallel only when every bucket's result is pinned by explicit
-        # seeds (or dropout is off entirely): an unseeded training-mode pass
-        # consumes the Dropout modules' own rng state, which only exists in
-        # one process.
-        deterministic = pass_seeds is not None or not model.training
-        if workers > 1 and deterministic and len(buckets) > 1:
-            probs_per_bucket = self._run_buckets_parallel(
-                model, encodings, buckets, tiles, pass_seeds, workers)
-        else:
-            probs_per_bucket = None
         for batch_index, idx in enumerate(buckets):
             batch = [encodings[i] for i in idx]
             longest = max(len(e) for e in batch)
-            if probs_per_bucket is None:
-                plan = self._plan(pass_seeds, batch_index)
-                with dropout_plan(plan):
-                    probs = model.forward_encoded(batch, tile=tiles).numpy()
-            else:
-                probs = probs_per_bucket[batch_index]
+            plan = self._plan(pass_seeds, batch_index)
+            with dropout_plan(plan):
+                probs = model.forward_encoded(batch, tile=tiles).numpy()
             out[:, idx, :] = probs.reshape(tiles, len(idx), 2)
             self.stats.batches += 1
             self.stats.tokens_real += tiles * sum(len(e) for e in batch)
             self.stats.tokens_padded += tiles * len(batch) * longest
-
-    def _run_buckets_parallel(self, model: Module,
-                              encodings: Sequence[PairEncoding],
-                              buckets: Sequence[np.ndarray], tiles: int,
-                              pass_seeds: Optional[Tuple[int, ...]],
-                              workers: int) -> List[np.ndarray]:
-        """Forward the packed buckets on a forked pool, one task per bucket.
-
-        Bucket ``b`` runs on worker ``b % workers`` but keeps its *global*
-        index in the DropoutPlan, so every stochastic draw matches the
-        serial loop exactly -- the parallel sweep is a re-stitching of the
-        identical per-bucket results.
-        """
-
-        def run_bucket(batch_index):
-            idx = buckets[batch_index]
-            batch = [encodings[i] for i in idx]
-            plan = self._plan(pass_seeds, batch_index)
-            with dropout_plan(plan):
-                return model.forward_encoded(batch, tile=tiles).numpy()
-
-        with WorkerPool(workers, run_bucket) as pool:
-            return pool.map(range(len(buckets)))
 
     def _run_fallback(self, model: Module, pairs: Sequence[CandidatePair],
                       out: np.ndarray,

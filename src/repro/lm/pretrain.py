@@ -16,7 +16,6 @@ import numpy as np
 from ..autograd import AdamW, functional as F, gather_rows
 from ..infer.engine import pack_buckets
 from ..obs import get_telemetry
-from ..parallel import WorkerPool, effective_workers, shard_indices
 from ..text import Tokenizer
 from .model import MiniLM, pad_batch
 
@@ -50,9 +49,6 @@ class PretrainConfig:
     #: to the original implementation -- the parity mode used by checkpoint
     #: zoo builds and the training benchmark.
     order_preserving: bool = False
-    #: fork this many workers to tokenize the corpus (deterministic, so
-    #: results never depend on it); ``<=1`` encodes in-process
-    workers: int = 1
 
 
 @dataclass
@@ -104,28 +100,6 @@ def mask_tokens(ids: np.ndarray, pad_mask: np.ndarray, vocab_size: int,
     return ids, labels
 
 
-def _encode_corpus(tokenizer: Tokenizer, corpus: Sequence[str],
-                   max_len: int, workers: int) -> List[np.ndarray]:
-    """Tokenize ``corpus`` (optionally on a forked pool), preserving order.
-
-    Chunks are contiguous, so concatenating the per-chunk results
-    reproduces the serial order; encoding is deterministic, so the worker
-    count cannot change a single id.
-    """
-    workers = effective_workers(workers)
-    if workers <= 1 or len(corpus) < 4 * workers:
-        return [tokenizer.encode(text, max_len=max_len).ids
-                for text in corpus]
-
-    def encode_chunk(chunk):
-        return [tokenizer.encode(corpus[int(i)], max_len=max_len).ids
-                for i in chunk]
-
-    with WorkerPool(workers, encode_chunk) as pool:
-        parts = pool.map(shard_indices(len(corpus), workers))
-    return [ids for part in parts for ids in part]
-
-
 def _epoch_batches(order: np.ndarray, lengths: Sequence[int],
                    config: PretrainConfig, rng: np.random.Generator):
     """Yield corpus-index arrays for one epoch's mini-batches.
@@ -154,10 +128,9 @@ def pretrain(model: MiniLM, tokenizer: Tokenizer, corpus: Sequence[str],
     rng = np.random.default_rng(config.seed)
     vocab = tokenizer.vocab
 
-    encoded = _encode_corpus(
-        tokenizer, list(corpus),
-        max_len=min(config.max_len, model.config.max_len),
-        workers=config.workers)
+    max_len = min(config.max_len, model.config.max_len)
+    encoded = [tokenizer.encode(text, max_len=max_len).ids
+               for text in corpus]
     encoded = [ids for ids in encoded if len(ids) > 2]
     if not encoded:
         raise ValueError("corpus produced no usable sequences")

@@ -9,12 +9,12 @@ Three layers behind one process-global switch:
 * hierarchical tracing -- ``span("trainer.fit")`` context managers
   measuring wall + CPU time with nesting, exportable as JSONL events;
 * :class:`RunLog` -- a schema-versioned JSONL event writer covering
-  trainer steps, self-training rounds, engine/cache stats and worker-pool
-  task latencies.
+  trainer steps, self-training rounds, engine/cache stats and serving
+  traces.
 
 Enable with :func:`telemetry_session` (the CLI's ``--telemetry out.jsonl``
 / ``--trace`` flags do) and render a run afterwards with
-``scripts/report_run.py``. See ``docs/OBSERVABILITY.md``.
+``repro obs-report``. See ``docs/OBSERVABILITY.md``.
 """
 
 from .merge import merge_metric, merge_snapshots
@@ -34,9 +34,8 @@ from .runlog import (
     iter_events, read_events, strip_volatile, validate_record,
 )
 from .telemetry import (
-    DISABLED, DisabledTelemetry, Telemetry, fingerprint_digest,
-    get_telemetry, install_telemetry, span, telemetry_session,
-    uninstall_telemetry,
+    DISABLED, DisabledTelemetry, Telemetry, get_telemetry, install_telemetry,
+    span, telemetry_session, uninstall_telemetry,
 )
 from .tracing import NULL_SPAN, Span, Tracer
 
@@ -54,8 +53,7 @@ __all__ = [
     # telemetry session
     "Telemetry", "DisabledTelemetry", "DISABLED", "get_telemetry",
     "install_telemetry", "uninstall_telemetry", "telemetry_session", "span",
-    "fingerprint_digest",
-    # resources (moved from repro.eval.resources)
+    # resources
     "ResourceMeter", "ResourceReport", "format_seconds", "format_bytes",
     # snapshot merging (pool-wide /metrics)
     "merge_snapshots", "merge_metric",

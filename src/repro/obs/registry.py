@@ -3,9 +3,9 @@
 Five instrument kinds, all cheap enough for per-step use:
 
 * :class:`Counter` -- monotonically increasing count (steps, cache hits,
-  fingerprint mismatches);
-* :class:`Gauge` -- last-written value (publish version, cache entries);
-* :class:`Histogram` -- fixed-bucket distribution (task latencies in
+  shed requests);
+* :class:`Gauge` -- last-written value (queue depth, cache entries);
+* :class:`Histogram` -- fixed-bucket distribution (batch latencies in
   seconds, losses);
 * :class:`QuantileSketch` -- streaming quantile estimates over an
   unbounded value stream via a bounded uniform reservoir (MC-Dropout

@@ -2,8 +2,8 @@
 
 One renderer per section, each returning ``""`` when the run recorded no
 events that feed it, plus :func:`render_report` which joins the non-empty
-ones. Shared by ``scripts/report_run.py`` and ``repro obs-report`` so
-training runs and serving sessions read through the same lens.
+ones. ``repro obs-report`` prints it, so training runs and serving
+sessions read through the same lens.
 
 A single log may interleave several event streams -- a serving process
 emitting ``serve.*`` events while a training run writes ``trainer.*``
@@ -24,7 +24,7 @@ from .serving import TRACE_STAGES, RequestTracer, format_trace
 __all__ = [
     "group_events", "render_report",
     "render_header", "render_loss_curve", "render_throughput",
-    "render_self_training", "render_engine", "render_pool",
+    "render_self_training", "render_engine",
     "render_traces", "render_slo", "render_drift", "render_phases",
 ]
 
@@ -116,23 +116,6 @@ def render_engine(grouped) -> str:
     return render_table(
         ["scope", "pairs", "batches", "pairs/s", "cache hit", "padding"],
         rows, title="Inference engine")
-
-
-def render_pool(grouped) -> str:
-    maps = grouped.get("pool.map", [])
-    if not maps:
-        return ""
-    tasks = defaultdict(int)
-    busy = defaultdict(float)
-    for record in maps:
-        for row in record.get("per_worker", []):
-            tasks[row["worker"]] += row["tasks"]
-            busy[row["worker"]] += row["seconds"]
-    rows = [[w, tasks[w], f"{busy[w]:.2f}s"] for w in sorted(tasks)]
-    rows.append(["total", sum(tasks.values()),
-                 f"{sum(busy.values()):.2f}s"])
-    return render_table(["worker", "tasks", "busy"], rows,
-                        title=f"Worker pool ({len(maps)} map calls)")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +268,7 @@ def render_report(events, trace_samples: int = 3) -> str:
     grouped = group_events(events)
     sections = [render_header(grouped), render_loss_curve(grouped),
                 render_throughput(grouped), render_self_training(grouped),
-                render_engine(grouped), render_pool(grouped),
+                render_engine(grouped),
                 render_traces(grouped, samples=trace_samples),
                 render_slo(grouped), render_drift(grouped),
                 render_phases(grouped)]

@@ -1,9 +1,7 @@
 """Resource accounting and human-readable time/memory formatting.
 
 Home of the single timing/memory formatting utility the whole repo uses
-(benches, the efficiency study, the telemetry report renderer). Originally
-lived at :mod:`repro.eval.resources` -- that module now re-exports from
-here for backward compatibility.
+(benches, the efficiency study, the telemetry report renderer).
 
 The paper's efficiency study (Table 4) reports wall-clock training time
 and peak GPU/CPU memory on an A100 testbed. We measure real wall-clock

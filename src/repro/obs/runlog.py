@@ -37,7 +37,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "trainer.fit.start": ("n_train", "epochs"),
     "trainer.step": ("step", "epoch", "loss"),
     "trainer.epoch": ("epoch", "loss", "steps"),
-    "trainer.fingerprint": ("fingerprint",),
     "pretrain.epoch": ("epoch", "mlm_loss", "steps"),
     # self-training loop
     "selftrain.round": ("iteration", "teacher_f1", "pseudo_added"),
@@ -45,8 +44,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "el2n.prune": ("before", "after", "dropped"),
     # inference engine
     "engine.stats": ("pairs", "batches", "cache_hit_rate"),
-    # worker pool
-    "pool.map": ("tasks", "workers", "per_worker"),
     # serving
     "serve.trace": ("request_id", "spans"),
     "serve.drift": ("tenant", "drift_kind"),

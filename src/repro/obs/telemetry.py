@@ -26,7 +26,6 @@ restoring the previous session on exit.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Union
@@ -151,13 +150,3 @@ def span(name: str, **attrs):
     """Span on the active session (the shared no-op when disabled)."""
     return _ACTIVE.span(name, **attrs)
 
-
-def fingerprint_digest(value) -> str:
-    """A short stable digest of an encoding fingerprint tuple.
-
-    Fingerprints may contain ``id()``-based components, so the digest is
-    stable *within* a process tree (parent + forked workers) but not
-    across runs -- which is exactly the scope the shared-memory publisher
-    guard needs. Telemetry treats ``fingerprint`` fields as volatile.
-    """
-    return hashlib.sha1(repr(value).encode("utf-8")).hexdigest()[:16]

@@ -1,35 +1,17 @@
-"""Multi-process data parallelism with bit-identical results.
+"""Fork and shared-memory helpers for the serving pool.
 
-A fork-based worker pool (:mod:`~repro.parallel.pool`) plus shared-memory
-parameter/gradient transport (:mod:`~repro.parallel.shm`). Consumers:
-
-* :class:`repro.infer.InferenceEngine` shards packed buckets and
-  MC-Dropout passes across workers (``EngineConfig.workers``);
-* :class:`repro.core.trainer.Trainer` splits each mini-batch into fixed
-  micro-shards whose gradients reduce in fixed order
-  (``TrainerConfig.workers``);
-* :func:`repro.lm.pretrain.pretrain` encodes its corpus in parallel
-  (``PretrainConfig.workers``).
-
-The contract everywhere: **the worker count changes wall-clock, never
-bits**. Sharding is worker-count independent, per-task randomness rides in
-explicit seeds, and reductions run in a fixed order; ``workers<=1`` (or a
-platform without ``fork``) runs the identical algorithm in-process.
+:mod:`repro.serve.pool` forks its replicas only when :func:`fork_available`
+says so (never under :func:`force_serial` or ``REPRO_FORCE_SERIAL``), and
+publishes weights to them through :class:`SharedArray` segments
+(:mod:`repro.serve.weights`).
 """
 
-from .pool import (FORCE_SERIAL_ENV, WorkerPool, effective_workers,
-                   force_serial, fork_available, shard_indices, shard_seed)
-from .shm import GradientBoard, ParameterPublisher, SharedArray
+from .pool import FORCE_SERIAL_ENV, force_serial, fork_available
+from .shm import SharedArray
 
 __all__ = [
     "FORCE_SERIAL_ENV",
-    "WorkerPool",
-    "effective_workers",
     "force_serial",
     "fork_available",
-    "shard_indices",
-    "shard_seed",
-    "GradientBoard",
-    "ParameterPublisher",
     "SharedArray",
 ]

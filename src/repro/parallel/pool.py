@@ -1,41 +1,17 @@
-"""Fork-based worker pool with deterministic sharding.
+"""Whether this process may fork, with a switch that turns forking off.
 
-The pool exists to use more than one core on the three hot paths of the
-reproduction -- pair encoding, batched inference (MC-Dropout sweeps), and
-per-step gradient shards -- while guaranteeing that the *result* of a run
-never depends on how many processes computed it:
-
-* **fork, never pickle weights**: workers are forked, so the worker
-  function is an ordinary closure over the live model / encodings /
-  shared-memory buffers. Only small task payloads (index lists, seeds) and
-  small results cross the pipes; parameters travel through
-  :class:`~repro.parallel.shm.ParameterPublisher` instead.
-* **deterministic assignment**: task ``i`` always runs on worker
-  ``i % workers`` and results are returned in task order, so scheduling
-  jitter cannot reorder anything downstream.
-* **graceful serial fallback**: ``workers <= 1``, a platform without
-  ``fork``, or :func:`force_serial` all degrade to running the same worker
-  function in-process over the same task sequence -- bit-identical math,
-  zero processes.
-
-Every consumer derives per-task randomness from explicit seeds carried in
-the task payload (e.g. a :class:`~repro.autograd.DropoutPlan`), never from
-process-local rng state, which is what makes forked and serial execution
-indistinguishable.
+The serving pool forks replicas only when :func:`fork_available` is true;
+otherwise it runs the same executor in-process. :func:`force_serial` (a
+block) and the ``REPRO_FORCE_SERIAL`` environment variable (a whole run)
+force that serial fallback -- the forced-serial tests and CI's serial rerun
+of ``tests/serve`` rely on them.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import time
 from contextlib import contextmanager
-from multiprocessing.connection import wait
-from typing import Any, Callable, Iterable, List, Optional, Sequence
-
-import numpy as np
-
-from ..obs import get_telemetry
 
 #: environment switch that disables forking everywhere (CI debugging and the
 #: forced-serial fallback tests); any non-empty value counts
@@ -46,12 +22,7 @@ _FORCE_SERIAL = False
 
 @contextmanager
 def force_serial():
-    """Run the block with forking disabled: every pool degrades to serial.
-
-    The serial path executes the identical worker function over the
-    identical task order, so this changes wall-clock only -- results are
-    bit-identical by construction (the parity tests rely on it).
-    """
+    """Run the block with forking disabled: every pool degrades to serial."""
     global _FORCE_SERIAL
     previous = _FORCE_SERIAL
     _FORCE_SERIAL = True
@@ -62,214 +33,10 @@ def force_serial():
 
 
 def fork_available() -> bool:
-    """True when fork-based workers can be used on this platform."""
+    """True when fork-based processes can be used on this platform."""
     if _FORCE_SERIAL or os.environ.get(FORCE_SERIAL_ENV):
         return False
     try:
         return "fork" in mp.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
         return False
-
-
-def effective_workers(requested: Optional[int]) -> int:
-    """Worker count actually usable: >= 1, and 1 whenever fork is off."""
-    if requested is None:
-        return 1
-    workers = max(int(requested), 1)
-    if workers > 1 and not fork_available():
-        return 1
-    return workers
-
-
-def shard_indices(n: int, shards: int) -> List[np.ndarray]:
-    """Split ``range(n)`` into up to ``shards`` contiguous, near-equal parts.
-
-    The decomposition depends only on ``(n, shards)`` -- never on the
-    worker count -- which is what lets gradient shards reduce to the same
-    bits at any parallelism level. Empty shards are dropped, so every
-    returned array is non-empty and their concatenation is ``arange(n)``.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if n <= 0:
-        return []
-    bounds = np.linspace(0, n, min(shards, n) + 1).round().astype(np.int64)
-    return [np.arange(lo, hi, dtype=np.int64)
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
-def shard_seed(base_seed: int, shard: int, step: int = 0) -> int:
-    """A stable per-(shard, step) seed derived from ``base_seed``.
-
-    Same spread constant the engine uses for MC-Dropout pass seeds, so
-    distinct shards/steps land far apart in seed space.
-    """
-    return int(base_seed) * 1_000_003 + 9_176 * int(step) + int(shard)
-
-
-def _worker_loop(conn, worker_fn: Callable[[Any], Any]) -> None:
-    """Child process: serve ``(index, task)`` messages until the sentinel.
-
-    Each reply carries the task's measured wall time, so per-worker
-    latencies travel back through the same result pipes the payloads use
-    and the parent can merge them into its telemetry registry -- workers
-    never touch the run log themselves.
-    """
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                break
-            index, task = message
-            started = time.perf_counter()
-            try:
-                payload = worker_fn(task)
-                conn.send((index, "ok", payload,
-                           time.perf_counter() - started))
-            except BaseException as exc:  # surface, do not kill the pool
-                conn.send((index, "error",
-                           f"{type(exc).__name__}: {exc}",
-                           time.perf_counter() - started))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        pass
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-class WorkerPool:
-    """A fixed set of forked workers running one captured function.
-
-    ``worker_fn`` is captured at fork time (models, encodings and
-    shared-memory handles come along for free via copy-on-write); tasks
-    and results are the only pickled traffic. With ``workers <= 1`` -- or
-    whenever :func:`fork_available` says no -- the pool holds zero
-    processes and :meth:`map` simply runs ``worker_fn`` inline.
-    """
-
-    def __init__(self, workers: Optional[int],
-                 worker_fn: Callable[[Any], Any]) -> None:
-        self.worker_fn = worker_fn
-        self.workers = effective_workers(workers)
-        #: per-task wall seconds of the most recent :meth:`map`, indexed by
-        #: task: ``last_latencies[i]`` ran on worker ``i % workers``
-        self.last_latencies: List[float] = []
-        self._procs: list = []
-        self._conns: list = []
-        if self.workers > 1:
-            ctx = mp.get_context("fork")
-            for _ in range(self.workers):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(target=_worker_loop,
-                                   args=(child_conn, worker_fn), daemon=True)
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-
-    # ------------------------------------------------------------------
-    @property
-    def serial(self) -> bool:
-        """True when no worker processes exist (in-process execution)."""
-        return not self._procs
-
-    def map(self, tasks: Iterable[Any]) -> List[Any]:
-        """Run ``worker_fn`` over ``tasks``; results in task order.
-
-        Task ``i`` is assigned to worker ``i % workers`` (deterministic);
-        a worker exception is re-raised here with its message, and a dead
-        worker raises ``RuntimeError`` instead of hanging.
-        """
-        tasks = list(tasks)
-        latencies = [0.0] * len(tasks)
-        if self.serial:
-            results = []
-            for index, task in enumerate(tasks):
-                started = time.perf_counter()
-                results.append(self.worker_fn(task))
-                latencies[index] = time.perf_counter() - started
-            self._record_latencies(latencies)
-            return results
-        results: List[Any] = [None] * len(tasks)
-        for index, task in enumerate(tasks):
-            self._conns[index % self.workers].send((index, task))
-        collected = 0
-        while collected < len(tasks):
-            for conn in wait(self._conns):
-                try:
-                    index, status, payload, elapsed = conn.recv()
-                except (EOFError, OSError):
-                    raise RuntimeError(
-                        "parallel worker died; falling back is not possible "
-                        "mid-map (re-run with workers=1)")
-                if status == "error":
-                    raise RuntimeError(f"parallel worker failed: {payload}")
-                results[index] = payload
-                latencies[index] = elapsed
-                collected += 1
-        self._record_latencies(latencies)
-        return results
-
-    def _record_latencies(self, latencies: List[float]) -> None:
-        """Merge one map's per-task wall times into the active telemetry.
-
-        Task ``i`` ran on worker ``i % workers`` (the pool's deterministic
-        assignment), so the per-worker merge needs no extra bookkeeping
-        from the workers themselves.
-        """
-        self.last_latencies = latencies
-        tel = get_telemetry()
-        if not tel.enabled or not latencies:
-            return
-        metrics = tel.metrics
-        metrics.counter("pool.tasks").inc(len(latencies))
-        metrics.counter("pool.maps").inc()
-        histogram = metrics.histogram("pool.task_seconds")
-        for seconds in latencies:
-            histogram.observe(seconds)
-        per_worker: List[dict] = [
-            {"worker": w, "tasks": 0, "seconds": 0.0, "max_seconds": 0.0}
-            for w in range(self.workers)]
-        for index, seconds in enumerate(latencies):
-            row = per_worker[index % self.workers]
-            row["tasks"] += 1
-            row["seconds"] += seconds
-            row["max_seconds"] = max(row["max_seconds"], seconds)
-        tel.event("pool.map", tasks=len(latencies), workers=self.workers,
-                  serial=self.serial, task_seconds=sum(latencies),
-                  max_task_seconds=max(latencies), per_worker=per_worker)
-
-    def close(self) -> None:
-        """Shut workers down; idempotent and safe on half-dead pools."""
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._procs = []
-        self._conns = []
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # defensive: do not leak children
-        try:
-            self.close()
-        except Exception:  # pragma: no cover
-            pass

@@ -1,42 +1,16 @@
-"""Shared-memory parameter broadcast and gradient boards.
+"""A numpy array on a named shared-memory segment.
 
-The training fastpath (PR 2) left every optimizer holding its parameters in
-**one contiguous flat buffer**. That layout is what makes multi-process
-data parallelism cheap: broadcasting the model is a single ``memcpy`` into
-a ``multiprocessing.shared_memory`` block plus a version bump -- no
-pickling, no per-parameter traffic -- and a worker adopts a snapshot with
-one ``memcpy`` back through :meth:`Optimizer.load_flat`.
-
-Three pieces:
-
-* :class:`SharedArray` -- a numpy array backed by a named shared-memory
-  segment, with a plain-``numpy`` fallback when shared memory is
-  unavailable (serial mode needs no real sharing; forked children still
-  see the parent's pages either way, but only shm makes *writes* after
-  the fork visible).
-* :class:`ParameterPublisher` -- parent-side ``publish()`` copies the
-  optimizer's flat buffer into shm and increments a version counter;
-  worker-side ``pull()`` re-loads only when the version moved. A config
-  fingerprint pins publisher and subscriber to the same architecture.
-* :class:`GradientBoard` -- one flat-gradient slot per shard; the parent
-  reduces slots **in fixed slot order**, which (with worker-count-
-  independent shard boundaries) is why training results are bit-identical
-  at any parallelism level.
-
-Lifecycle: the creating process owns the segments; ``close()`` unlinks
-them. Forked workers inherit the mapping and must never unlink. Everything
-degrades gracefully: if ``shared_memory`` cannot allocate (e.g. no
-``/dev/shm``), buffers fall back to process-local arrays and the caller is
-expected to run serial.
+Lifecycle: the creating process owns the segment; ``close()`` unlinks it.
+Forked children inherit the mapping and must never unlink. If
+``shared_memory`` cannot allocate (e.g. no ``/dev/shm``), the array falls
+back to process-local memory and ``is_shared`` reads False.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from ..obs import get_telemetry
 
 try:
     from multiprocessing import shared_memory as _shm
@@ -95,123 +69,3 @@ class SharedArray:
             self.close()
         except Exception:  # pragma: no cover
             pass
-
-
-class ParameterPublisher:
-    """Broadcast an optimizer's flat parameter buffer through shared memory.
-
-    The parent calls :meth:`publish` after each ``step``; forked workers
-    call :meth:`pull` before computing and copy the snapshot into their own
-    optimizer only when the version counter moved. The ``fingerprint``
-    (e.g. ``PromptModel.encoding_fingerprint()``) guards against publisher
-    and subscriber disagreeing about what the buffer means.
-    """
-
-    def __init__(self, optimizer, fingerprint: str = "") -> None:
-        self.fingerprint = str(fingerprint)
-        self.flat_size = optimizer.flat_size
-        self._values = SharedArray((self.flat_size,), optimizer.flat_dtype)
-        self._version = SharedArray((1,), np.int64)
-        self._seen = 0  # worker-local: last version pulled
-
-    @property
-    def is_shared(self) -> bool:
-        return self._values.is_shared and self._version.is_shared
-
-    @property
-    def version(self) -> int:
-        return int(self._version.array[0])
-
-    def publish(self, optimizer) -> int:
-        """Snapshot ``optimizer``'s parameters into shm; returns the version."""
-        if optimizer.flat_size != self.flat_size:
-            raise ValueError(f"optimizer has {optimizer.flat_size} flat "
-                             f"elements, publisher expects {self.flat_size}")
-        np.copyto(self._values.array, optimizer.flat_data,
-                  casting="same_kind")
-        self._version.array[0] += 1
-        version = self.version
-        metrics = get_telemetry().metrics
-        metrics.counter("parallel.publishes").inc()
-        metrics.gauge("parallel.publish_version").set(version)
-        return version
-
-    def pull(self, optimizer, fingerprint: str = "") -> bool:
-        """Adopt the latest snapshot if newer than the last pull.
-
-        Returns True when parameters were actually copied. A mismatched
-        ``fingerprint`` raises -- a worker silently training a different
-        architecture than the published weights is unrecoverable.
-        """
-        if fingerprint and self.fingerprint and fingerprint != self.fingerprint:
-            get_telemetry().metrics.counter(
-                "parallel.fingerprint_mismatches").inc()
-            raise ValueError("parameter publisher fingerprint mismatch: "
-                             f"{fingerprint!r} != {self.fingerprint!r}")
-        version = self.version
-        if version == self._seen:
-            return False
-        optimizer.load_flat(self._values.array)
-        self._seen = version
-        get_telemetry().metrics.counter("parallel.pulls").inc()
-        return True
-
-    def close(self) -> None:
-        self._values.close()
-        self._version.close()
-
-    def __enter__(self) -> "ParameterPublisher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class GradientBoard:
-    """Per-shard flat-gradient slots with a fixed-order reduction.
-
-    Workers write shard ``s``'s gathered gradient into ``slot(s)``; the
-    parent sums the used slots **sequentially in slot order**. Because
-    float addition is not associative, this fixed order -- together with
-    shard boundaries that depend only on the batch, never the worker
-    count -- is precisely what makes the reduced gradient bit-identical
-    whether 1, 2, or 4 processes filled the board.
-    """
-
-    def __init__(self, slots: int, flat_size: int, dtype) -> None:
-        if slots < 1:
-            raise ValueError("GradientBoard needs at least one slot")
-        self.slots = int(slots)
-        self.flat_size = int(flat_size)
-        self._board = SharedArray((self.slots, self.flat_size), dtype)
-
-    @property
-    def is_shared(self) -> bool:
-        return self._board.is_shared
-
-    def slot(self, index: int) -> np.ndarray:
-        """The flat-gradient row for shard ``index`` (a live shm view)."""
-        return self._board.array[index]
-
-    def reduce(self, count: int, out: Optional[np.ndarray] = None
-               ) -> np.ndarray:
-        """Sum the first ``count`` slots in slot order into ``out``."""
-        if not (1 <= count <= self.slots):
-            raise ValueError(f"cannot reduce {count} of {self.slots} slots")
-        board = self._board.array
-        if out is None:
-            out = np.zeros(self.flat_size, dtype=board.dtype)
-        else:
-            out[:] = 0.0
-        for index in range(count):  # fixed order: never np.sum over axis 0
-            out += board[index]
-        return out
-
-    def close(self) -> None:
-        self._board.close()
-
-    def __enter__(self) -> "GradientBoard":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -52,7 +52,7 @@ unit* and adds the multi-worker topology around it:
 Where fork (or real shared memory) is unavailable the pool degrades to a
 **serial fallback**: one in-process ``MatchServer`` built by the same
 helper as a replica's, owning every shard, driven through the same
-per-executor call -- mirroring :mod:`repro.parallel.pool`.  Only
+per-executor call.  Only
 admission (that server admits and resolves its own requests, so
 ``response.replica`` stays ``None``), ``swap``, ``stop`` and the ``mode``
 label differ.

@@ -36,11 +36,10 @@ scoring raises fails only that batch's pendings (``serve.batch_errors``)
 -- the scheduler thread survives both and keeps serving the rest of the
 queue.
 
-Hot swap reuses the version-counter pattern of
-:class:`repro.parallel.shm.ParameterPublisher`: ``swap()`` bumps a
-monotonic counter under a lock, the scheduler adopts the newest
-``(bundle, version)`` at its next batch boundary, and in-flight batches
-finish on the snapshot they started with.
+Hot swap is a version counter: ``swap()`` bumps a monotonic counter under
+a lock, the scheduler adopts the newest ``(bundle, version)`` at its next
+batch boundary, and in-flight batches finish on the snapshot they started
+with.
 
 Everything is instrumented through :mod:`repro.obs` when a telemetry
 session is active: ``serve.queue_depth`` gauge, ``serve.batch_size`` and

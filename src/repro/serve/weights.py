@@ -1,12 +1,11 @@
 """Shared-memory model weights for replicated serving.
 
-:class:`SharedBundleWeights` is the serving-side sibling of
-:class:`repro.parallel.shm.ParameterPublisher`: one process (the pool
-router) owns the weights, N forked replicas map them **zero-copy** --
-each replica rebinds its model's ``Parameter.data`` arrays to numpy views
-straight into the shared segment, so a swap never pickles or copies a
-model per replica and all replicas flip together when the version counter
-moves.
+:class:`SharedBundleWeights` publishes one model to many processes: one
+process (the pool router) owns the weights, N forked replicas map them
+**zero-copy** -- each replica rebinds its model's ``Parameter.data`` arrays
+to numpy views straight into the shared segment, so a swap never pickles
+or copies a model per replica and all replicas flip together when the
+version counter moves.
 
 Publishing must not tear a batch that another process is mid-forward on,
 so the store double-buffers:
@@ -31,8 +30,7 @@ name from the side-channels, then records the adoption.  Rebinding is a
 handful of ``np.ndarray`` view constructions -- no weight bytes move.
 
 A :meth:`fingerprint` derived from the parameter names/shapes/dtype pins
-publisher and replicas to one architecture, exactly like the training
-publisher's config fingerprint.
+publisher and replicas to one architecture.
 """
 
 from __future__ import annotations

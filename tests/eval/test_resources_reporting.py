@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from repro.eval.reporting import render_prf_table, render_series, render_table
-from repro.eval.resources import (
-    ResourceMeter, format_bytes, format_seconds,
-)
+from repro.obs import ResourceMeter, format_bytes, format_seconds
 
 
 class TestResourceMeter:

@@ -11,14 +11,15 @@ Two contracts (ISSUE acceptance criteria):
   process-identity fields are removed by :func:`repro.obs.strip_volatile`.
 
 All runs reuse ONE model instance, restoring its initial ``state_dict``
-between fits -- each ``Dropout`` draws a process-global ``seed_salt`` at
-construction, so rebuilding the model would change the masks and hide (or
-fake) a divergence.
+and every ``Dropout``'s rng state between fits -- each ``Dropout`` draws a
+process-global ``seed_salt`` at construction, so rebuilding the model would
+change the masks and hide (or fake) a divergence.
 """
 
 import numpy as np
 import pytest
 
+from repro.autograd import Dropout
 from repro.core import PromptModel, Verbalizer, make_template
 from repro.core.trainer import Trainer, TrainerConfig
 from repro.data import load_dataset
@@ -43,13 +44,14 @@ def view():
 def fit_once(model, view, telemetry_path=None):
     """One seeded fit from the model's current weights; returns weights.
 
-    ``workers=1`` engages the sharded session, whose dropout masks are
-    plan-seeded by (seed, global step, shard) -- the only fit path that is
-    bit-reproducible from a restored ``state_dict`` (the legacy loop's
-    dropout modules draw from rng streams that advance across fits).
+    The fit's dropout masks come from each ``Dropout`` module's own rng,
+    which advances across fits, so the rng states are restored along with
+    the weights: every call starts from the same weights and masks.
     """
     initial = {k: v.copy() for k, v in model.state_dict().items()}
-    cfg = TrainerConfig(epochs=2, batch_size=8, seed=3, workers=1)
+    dropouts = [m for m in model.modules() if isinstance(m, Dropout)]
+    rng_states = [m.rng.bit_generator.state for m in dropouts]
+    cfg = TrainerConfig(epochs=2, batch_size=8, seed=3)
     try:
         if telemetry_path is None:
             Trainer(model, cfg).fit(view.labeled, valid=view.test[:8])
@@ -59,6 +61,8 @@ def fit_once(model, view, telemetry_path=None):
         return {k: v.copy() for k, v in model.state_dict().items()}
     finally:
         model.load_state_dict(initial)
+        for module, state in zip(dropouts, rng_states):
+            module.rng.bit_generator.state = state
 
 
 class TestNonPerturbation:

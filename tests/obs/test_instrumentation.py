@@ -6,8 +6,7 @@ from repro.core import PromptModel, Verbalizer, make_template
 from repro.data import load_dataset
 from repro.infer import EngineConfig, InferenceEngine
 from repro.lm import load_pretrained
-from repro.obs import read_events, telemetry_session
-from repro.parallel import WorkerPool
+from repro.obs import telemetry_session
 
 
 @pytest.fixture(scope="module")
@@ -58,46 +57,3 @@ class TestEngineStats:
         assert snap["engine.cache.hit_rate"]["value"] == pytest.approx(0.5)
         assert snap["engine.cache.entries"]["value"] == len(pairs)
         assert snap["engine.run_seconds"]["count"] == 2
-
-
-def _double(task):
-    return task * 2
-
-
-class TestPoolTelemetry:
-    def test_serial_map_records_latencies_and_event(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with telemetry_session(path=path) as tel:
-            with WorkerPool(1, _double) as pool:
-                assert pool.map([1, 2, 3]) == [2, 4, 6]
-                assert len(pool.last_latencies) == 3
-        events = read_events(path, kind="pool.map")
-        assert len(events) == 1
-        assert events[0]["tasks"] == 3
-        assert events[0]["serial"] is True
-        assert [row["tasks"] for row in events[0]["per_worker"]] == [3]
-        snap = tel.snapshot_metrics()
-        assert snap["pool.tasks"]["value"] == 3
-        assert snap["pool.maps"]["value"] == 1
-        assert snap["pool.task_seconds"]["count"] == 3
-
-    def test_forked_map_merges_per_worker_latencies(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with telemetry_session(path=path):
-            with WorkerPool(2, _double) as pool:
-                assert pool.map(list(range(6))) == [0, 2, 4, 6, 8, 10]
-                assert len(pool.last_latencies) == 6
-                assert all(t >= 0 for t in pool.last_latencies)
-        events = read_events(path, kind="pool.map")
-        assert len(events) == 1
-        record = events[0]
-        assert record["tasks"] == 6
-        per_worker = {row["worker"]: row for row in record["per_worker"]}
-        if not record["serial"]:  # fork available: both workers saw tasks
-            assert set(per_worker) == {0, 1}
-            assert sum(row["tasks"] for row in per_worker.values()) == 6
-
-    def test_disabled_telemetry_still_tracks_last_latencies(self):
-        with WorkerPool(1, _double) as pool:
-            pool.map([1, 2])
-            assert len(pool.last_latencies) == 2

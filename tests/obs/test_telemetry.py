@@ -3,9 +3,8 @@
 import io
 
 from repro.obs import (
-    DISABLED, MetricsRegistry, RunLog, Telemetry, fingerprint_digest,
-    get_telemetry, install_telemetry, read_events, telemetry_session,
-    uninstall_telemetry,
+    DISABLED, MetricsRegistry, RunLog, Telemetry, get_telemetry,
+    install_telemetry, read_events, telemetry_session, uninstall_telemetry,
 )
 from repro.obs import span as module_span
 
@@ -93,11 +92,3 @@ class TestSessionOutput:
         session.close()
         session.event("late.kind", value=1)  # silently dropped, no error
         assert "late.kind" not in buffer.getvalue()
-
-
-class TestFingerprintDigest:
-    def test_stable_within_process_and_short(self):
-        value = ("layer", 12, 0.5)
-        assert fingerprint_digest(value) == fingerprint_digest(value)
-        assert len(fingerprint_digest(value)) == 16
-        assert fingerprint_digest(value) != fingerprint_digest(("other",))

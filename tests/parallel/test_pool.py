@@ -1,115 +1,13 @@
-"""Unit tests for the fork-based worker pool and deterministic sharding."""
+"""Tests for the switch that turns forking off."""
 
-import os
-
-import numpy as np
-import pytest
-
-from repro.parallel import (
-    FORCE_SERIAL_ENV, WorkerPool, effective_workers, force_serial,
-    fork_available, shard_indices, shard_seed,
-)
-
-
-class TestShardIndices:
-    def test_partition_is_exact_and_ordered(self):
-        for n in (1, 2, 7, 16, 100):
-            for shards in (1, 2, 3, 4, 7, 200):
-                parts = shard_indices(n, shards)
-                flat = np.concatenate(parts)
-                np.testing.assert_array_equal(flat, np.arange(n))
-                assert all(len(p) for p in parts)
-                assert len(parts) <= min(shards, n)
-
-    def test_near_equal_sizes(self):
-        sizes = [len(p) for p in shard_indices(103, 4)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_empty_and_invalid(self):
-        assert shard_indices(0, 4) == []
-        with pytest.raises(ValueError):
-            shard_indices(10, 0)
-
-    def test_depends_only_on_n_and_shards(self):
-        # the property gradient bit-parity rests on: the decomposition has
-        # no third input a worker count could leak through
-        a = shard_indices(37, 4)
-        b = shard_indices(37, 4)
-        for left, right in zip(a, b):
-            np.testing.assert_array_equal(left, right)
-
-
-class TestShardSeed:
-    def test_distinct_across_shards_and_steps(self):
-        seeds = {shard_seed(0, s, t) for s in range(8) for t in range(8)}
-        assert len(seeds) == 64
-
-    def test_stable(self):
-        assert shard_seed(3, 2, 1) == shard_seed(3, 2, 1)
+from repro.parallel import FORCE_SERIAL_ENV, force_serial, fork_available
 
 
 class TestEffectiveWorkers:
-    def test_none_and_small_values(self):
-        assert effective_workers(None) == 1
-        assert effective_workers(0) == 1
-        assert effective_workers(1) == 1
-
     def test_force_serial_context(self):
         with force_serial():
             assert not fork_available()
-            assert effective_workers(4) == 1
 
     def test_force_serial_env(self, monkeypatch):
         monkeypatch.setenv(FORCE_SERIAL_ENV, "1")
         assert not fork_available()
-        assert effective_workers(4) == 1
-
-
-class TestWorkerPool:
-    def test_serial_pool_runs_inline(self):
-        with WorkerPool(1, lambda x: x * 2) as pool:
-            assert pool.serial
-            assert pool.map(range(5)) == [0, 2, 4, 6, 8]
-
-    def test_results_in_task_order(self):
-        if not fork_available():
-            pytest.skip("fork unavailable")
-        with WorkerPool(4, lambda x: x * x) as pool:
-            assert not pool.serial
-            assert pool.map(range(11)) == [i * i for i in range(11)]
-
-    def test_closure_state_inherited_by_fork(self):
-        if not fork_available():
-            pytest.skip("fork unavailable")
-        payload = np.arange(10.0)
-
-        def worker(idx):
-            return float(payload[idx])
-
-        with WorkerPool(2, worker) as pool:
-            assert pool.map([3, 7]) == [3.0, 7.0]
-
-    def test_worker_exception_propagates(self):
-        if not fork_available():
-            pytest.skip("fork unavailable")
-
-        def worker(x):
-            if x == 2:
-                raise ValueError("boom")
-            return x
-
-        with WorkerPool(2, worker) as pool:
-            with pytest.raises(RuntimeError, match="boom"):
-                pool.map(range(4))
-
-    def test_force_serial_degrades_pool(self):
-        with force_serial():
-            with WorkerPool(4, lambda x: x + 1) as pool:
-                assert pool.serial
-                assert pool.map([1, 2]) == [2, 3]
-
-    def test_close_is_idempotent(self):
-        pool = WorkerPool(2, lambda x: x)
-        pool.close()
-        pool.close()
-        assert pool.serial

@@ -1,18 +1,11 @@
-"""Tests for shared-memory parameter broadcast and gradient boards."""
+"""Tests for shared-memory arrays."""
+
+import multiprocessing as mp
 
 import numpy as np
 import pytest
 
-from repro.autograd import AdamW, Linear, SGD
-from repro.parallel import (
-    GradientBoard, ParameterPublisher, SharedArray, WorkerPool,
-    fork_available,
-)
-
-
-def small_optimizer(seed=0):
-    layer = Linear(6, 3, rng=np.random.default_rng(seed))
-    return layer, AdamW(layer.parameters(), lr=0.01)
+from repro.parallel import SharedArray, fork_available
 
 
 class TestSharedArray:
@@ -39,77 +32,17 @@ class TestSharedArray:
                 pytest.skip("no shared memory on this platform")
             array = shared.array
 
-            def worker(task):
-                index, value = task
-                array[index] = value  # child writes into the inherited map
-                return float(array[index])
+            def worker(tasks):
+                for index, value in tasks:
+                    array[index] = value  # child writes into the inherited map
 
-            with WorkerPool(2, worker) as pool:
-                pool.map([(0, 1.5), (1, 2.5), (2, 3.5), (3, 4.5)])
+            ctx = mp.get_context("fork")
+            children = [ctx.Process(target=worker, args=(tasks,))
+                        for tasks in ([(0, 1.5), (2, 3.5)],
+                                      [(1, 2.5), (3, 4.5)])]
+            for child in children:
+                child.start()
+            for child in children:
+                child.join(timeout=30)
+                assert child.exitcode == 0
             np.testing.assert_array_equal(array, [1.5, 2.5, 3.5, 4.5])
-
-
-class TestParameterPublisher:
-    def test_publish_bumps_version_and_pull_copies(self):
-        _, source = small_optimizer(seed=0)
-        _, target = small_optimizer(seed=1)
-        with ParameterPublisher(source, "fp") as publisher:
-            assert publisher.version == 0
-            assert publisher.publish(source) == 1
-            assert publisher.pull(target, "fp")
-            np.testing.assert_array_equal(target.flat_data, source.flat_data)
-            # unchanged version: pull is a no-op
-            assert not publisher.pull(target, "fp")
-
-    def test_fingerprint_mismatch_raises(self):
-        _, source = small_optimizer()
-        with ParameterPublisher(source, "fp-a") as publisher:
-            publisher.publish(source)
-            with pytest.raises(ValueError, match="fingerprint"):
-                publisher.pull(source, "fp-b")
-
-    def test_size_mismatch_raises(self):
-        _, source = small_optimizer()
-        other = SGD(Linear(2, 2, rng=np.random.default_rng(0)).parameters(),
-                    lr=0.1)
-        with ParameterPublisher(source) as publisher:
-            with pytest.raises(ValueError):
-                publisher.publish(other)
-
-
-class TestGradientBoard:
-    def test_fixed_order_reduce(self):
-        with GradientBoard(3, 4, np.float64) as board:
-            for slot in range(3):
-                board.slot(slot)[:] = (slot + 1) * np.arange(1.0, 5.0)
-            # 1x + 2x + 3x = 6x, summed slot-by-slot
-            np.testing.assert_array_equal(
-                board.reduce(3), 6.0 * np.arange(1.0, 5.0))
-
-    def test_reduce_matches_sequential_addition_bitwise(self):
-        rng = np.random.default_rng(0)
-        values = rng.standard_normal((4, 64)) * 1e3
-        with GradientBoard(4, 64, np.float64) as board:
-            for slot in range(4):
-                board.slot(slot)[:] = values[slot]
-            reduced = board.reduce(4)
-        expected = np.zeros(64)
-        for row in values:  # same fixed order the board promises
-            expected += row
-        np.testing.assert_array_equal(reduced, expected)
-
-    def test_reduce_count_validated(self):
-        with GradientBoard(2, 3, np.float64) as board:
-            with pytest.raises(ValueError):
-                board.reduce(0)
-            with pytest.raises(ValueError):
-                board.reduce(3)
-
-    def test_out_buffer_reused(self):
-        with GradientBoard(2, 3, np.float64) as board:
-            board.slot(0)[:] = 1.0
-            board.slot(1)[:] = 2.0
-            out = np.full(3, 99.0)
-            result = board.reduce(2, out=out)
-            assert result is out
-            np.testing.assert_array_equal(out, 3.0)

@@ -66,8 +66,8 @@ class TestTelemetry:
     def test_run_writes_schema_valid_jsonl(self, tmp_path, capsys,
                                            monkeypatch):
         """End-to-end: a --telemetry run covers trainer steps, self-training
-        rounds, engine cache stats and worker-pool task latencies, and every
-        record passes schema validation."""
+        rounds and engine cache stats, and every record passes schema
+        validation."""
         from repro.cli import _make_matcher
         from repro.core import PromptEM, PromptEMConfig
         from repro.lm import load_pretrained
@@ -75,16 +75,15 @@ class TestTelemetry:
 
         lm, tok = load_pretrained("minilm-tiny")
 
-        def tiny_matcher(method, model_name, workers=None):
+        def tiny_matcher(method, model_name):
             cfg = PromptEMConfig(model_name="minilm-tiny", teacher_epochs=2,
                                  student_epochs=2, mc_passes=2,
-                                 unlabeled_cap=8, batch_size=8, max_len=64,
-                                 workers=workers)
+                                 unlabeled_cap=8, batch_size=8, max_len=64)
             return PromptEM(cfg, lm=lm, tokenizer=tok)
 
         monkeypatch.setattr("repro.cli._make_matcher", tiny_matcher)
         path = tmp_path / "run.jsonl"
-        code = main(["run", "--dataset", "REL-HETER", "--workers", "2",
+        code = main(["run", "--dataset", "REL-HETER",
                      "--telemetry", str(path), "--trace"])
         assert code == 0
 
@@ -92,12 +91,9 @@ class TestTelemetry:
         kinds = {e["kind"] for e in events}
         assert {"run.start", "run.summary", "trainer.fit.start",
                 "trainer.step", "trainer.epoch", "selftrain.round",
-                "engine.stats", "pool.map", "span",
-                "metrics.snapshot"} <= kinds
+                "engine.stats", "span", "metrics.snapshot"} <= kinds
         summary = [e for e in events if e["kind"] == "run.summary"][-1]
         assert summary["f1"] >= 0
-        pool_events = [e for e in events if e["kind"] == "pool.map"]
-        assert all(e["per_worker"] for e in pool_events)
         out = capsys.readouterr().out
         assert "Per-phase time breakdown" in out  # --trace summary printed
 
