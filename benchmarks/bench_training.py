@@ -3,14 +3,17 @@
 Times the two training loops that dominate the benchmark sweeps two ways:
 
 * **seed loop**: faithful copies of the pre-fastpath implementations --
-  per-parameter looped AdamW, python-sum gradient clipping, the composed
-  ``log_softmax`` cross-entropy over *every* sequence position, fixed
+  the per-op graph (every embedding, encoder and LSTM op its own node,
+  composed gelu and LayerNorm), per-parameter looped AdamW, python-sum
+  gradient clipping, the composed ``log_softmax`` cross-entropy over
+  *every* sequence position, fixed
   ``batch_size`` slices of the shuffled order, per-pair re-serialization
   each epoch and a transient validation engine (``Trainer.fit``);
-* **fastpath**: the current implementations -- flat-buffer AdamW with the
-  clip folded into ``step()``, fused cross-entropy over *masked positions
-  only*, token-budget length-bucketed batches, and one persistent
-  engine + encoding cache per fit.
+* **fastpath**: the current implementations -- one graph node per
+  embedding block, encoder layer and LSTM direction, flat-buffer AdamW
+  with the clip folded into ``step()``, fused cross-entropy over *masked
+  positions only*, token-budget length-bucketed batches, and one
+  persistent engine + encoding cache per fit.
 
 The table reports optimizer steps/sec for both arms plus a **parity**
 column: both arms re-run under float64 in rng-order-preserving mode (same
@@ -26,6 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from repro.lm import (  # noqa: E402
 )
 from repro.lm.model import pad_batch  # noqa: E402
 from repro.text import Tokenizer, build_corpus, build_vocab  # noqa: E402
+from tests.autograd.reference_graph import reference_graph  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -70,21 +75,23 @@ def composed_layer_norm(x, gamma, beta, eps=1e-5):
 
 @contextmanager
 def seed_style_ops():
-    """Swap the fused gelu/layer_norm graph nodes for the seed's composed
-    chains for the duration of a reference-arm run.
+    """Record the seed's per-op graph for the duration of a reference-arm
+    run.
 
-    Every call site goes through the shared ``repro.autograd.functional``
-    module object (``F.gelu`` / ``F.layer_norm``), so patching its
-    attributes restores the pre-fastpath op graph everywhere -- including
-    inside model forward passes -- without touching model code. The
-    ``no_grad`` inference kernels (:mod:`repro.infer.fastpath`) are
-    unaffected, matching the state after PR 1.
+    The embedding block, encoder layers and LSTM directions train as one
+    node each (``repro.autograd.blocks``); ``reference_graph`` puts back
+    their per-op forwards, and patching ``repro.autograd.functional``'s
+    ``F.gelu`` / ``F.layer_norm`` attributes, which those forwards call,
+    swaps the fused gelu/layer_norm nodes for the seed's composed chains.
+    The ``no_grad`` inference kernels (:mod:`repro.infer.fastpath`) are
+    left as they are.
     """
     fused_gelu, fused_layer_norm = F.gelu, F.layer_norm
     F.gelu = composed_gelu
     F.layer_norm = composed_layer_norm
     try:
-        yield
+        with reference_graph():
+            yield
     finally:
         F.gelu, F.layer_norm = fused_gelu, fused_layer_norm
 

@@ -24,12 +24,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..autograd import blocks
 from ..baselines.lm_common import BackboneMixin
 from ..data.records import EntityRecord
 from ..data.serialize import serialize
 from ..infer.cache import EncodingCache
 from ..infer.engine import pack_buckets
-from ..infer.fastpath import _layer_norm, encoder_hidden
+from ..infer.fastpath import encoder_hidden
 from ..lm.model import MiniLM, pad_batch
 from ..text import Tokenizer
 
@@ -82,13 +83,8 @@ class RecordEncoder(BackboneMixin):
                      pad_id: int) -> np.ndarray:
         """(B, D) mean-pooled unit embeddings via the fastpath kernels."""
         ids, pad_mask = pad_batch(id_lists, pad_id=pad_id)
-        token_vecs = lm.token_embedding.weight.data[ids]
-        flags = lm.duplicate_flags(ids)
-        x = token_vecs
-        x += lm.position_embedding.weight.data[: ids.shape[1]]
-        x += lm.duplicate_embedding.weight.data[flags]
-        # eval mode: embedding_norm only (dropout is identity)
-        x = _layer_norm(lm.embedding_norm, x)
+        # eval mode: the embedding dropout draws nothing
+        x = blocks.embed(lm, ids, lm.duplicate_flags(ids))
         hidden = encoder_hidden(lm, x, pad_mask)
         keep = (~pad_mask).astype(hidden.dtype)[:, :, None]
         pooled = (hidden * keep).sum(axis=1)

@@ -5,7 +5,7 @@ Public surface::
     from repro.autograd import Tensor, Module, Parameter, Linear, AdamW, ...
 """
 
-from . import functional, init
+from . import blocks, functional, init
 from .attention import MultiHeadAttention
 from .layers import (
     MLP, Activation, Dropout, DropoutPlan, Embedding, LayerNorm, Linear,
@@ -31,5 +31,5 @@ __all__ = [
     "LSTM", "BiLSTM", "LSTMCell",
     "Optimizer", "SGD", "Adam", "AdamW", "LinearWarmupSchedule", "clip_grad_norm",
     "save_checkpoint", "load_checkpoint",
-    "functional", "init",
+    "blocks", "functional", "init",
 ]

@@ -6,10 +6,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import functional as F
+from .blocks import attention_node
 from .layers import Dropout, Linear
 from .module import Module
-from .tensor import Tensor, gather_rows
+from .tensor import Tensor
 
 
 class MultiHeadAttention(Module):
@@ -49,39 +49,14 @@ class MultiHeadAttention(Module):
             lo, hi = h * self.d_head, (h + 1) * self.d_head
             self.k_proj.weight.data[:, lo:hi] = self.q_proj.weight.data[:, lo:hi]
 
-    def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
-        # (B, T, D) -> (B, H, T, Dh)
-        return x.reshape(batch, seq, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
-
     def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
                 rows: Optional[np.ndarray] = None) -> Tensor:
         """(B, T, D) -> (B, T, D), or (B, 1, D) with ``rows``.
 
         ``rows`` (B,) asks for the output at query position ``rows[b]``
         only: keys and values still cover every position, and the
-        attention dropout keeps the full mask's draws at those rows.
+        attention dropout keeps the full mask's draws at those rows. One
+        graph node (:func:`repro.autograd.blocks.attention_node`); inside
+        an encoder layer the attention runs within the layer's node.
         """
-        batch, seq, _ = x.shape
-        queries = x if rows is None else at_rows(x, rows)
-        q_len = queries.shape[1]
-        q = self._split_heads(self.q_proj(queries), batch, q_len)
-        k = self._split_heads(self.k_proj(x), batch, seq)
-        v = self._split_heads(self.v_proj(x), batch, seq)
-
-        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, H, Tq, T)
-        if pad_mask is not None:
-            mask = F.attention_scores_mask(pad_mask)  # (B, 1, 1, T)
-            mask = np.broadcast_to(mask, scores.shape)
-            scores = F.masked_fill(scores, mask, -1e9)
-        weights = F.softmax(scores, axis=-1)
-        weights = self.attn_dropout(weights, rows=rows, seq_len=seq)
-
-        context = weights @ v  # (B, H, Tq, Dh)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.d_model)
-        return self.out_proj(context)
-
-
-def at_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """(B, T, D) -> (B, 1, D): position ``rows[b]`` of each sequence."""
-    batch, _, width = x.shape
-    return gather_rows(x, np.arange(batch), rows).reshape(batch, 1, width)
+        return attention_node(self, x, pad_mask, rows)

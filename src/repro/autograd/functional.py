@@ -10,30 +10,24 @@ from typing import Optional
 
 import numpy as np
 
+from . import blocks
 from .tensor import Tensor, get_default_dtype, where
-
-_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
-_GELU_C = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as used by BERT).
 
-    A single fused graph node: the seed implementation composed seven
-    elementwise Tensor ops (each allocating an intermediate array and a
-    backward closure); this computes the same forward in raw numpy and
-    backpropagates through the closed-form derivative in one pass.
+    A single fused graph node over :func:`repro.autograd.blocks.gelu`, the
+    kernel the encoder blocks run: the forward in raw numpy, the backward
+    through the closed-form derivative in one pass.
     """
-    data = x.data
-    inner = (data + (data * data * data) * _GELU_C) * _SQRT_2_OVER_PI
-    t = np.tanh(inner)
+    tape: list = []
+    out = blocks.gelu(x.data, tape)
 
-    def backward(out: Tensor) -> None:
-        d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * data * data)
-        x._accumulate(out.grad * (0.5 * (1.0 + t)
-                                  + 0.5 * data * (1.0 - t * t) * d_inner))
+    def backward(node: Tensor) -> None:
+        x._accumulate(blocks.gelu_backward(tape[0], node.grad))
 
-    return Tensor._make(data * (t + 1.0) * 0.5, (x,), backward)
+    return Tensor._make(out, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -70,34 +64,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis as one fused graph node.
 
-    Forward matches the composed ``(x - mu) / sqrt(var + eps) * gamma +
-    beta`` chain bit-for-bit (means computed as ``sum * (1/n)``, like
-    :meth:`Tensor.mean`); backward applies the closed-form LayerNorm
-    gradient instead of unwinding ~10 recorded elementwise ops.
+    The forward is :func:`repro.autograd.blocks.layer_norm` (means computed
+    as ``sum * (1/n)``, like :meth:`Tensor.mean`); the backward applies the
+    closed-form LayerNorm gradient instead of unwinding ~10 recorded
+    elementwise ops.
     """
-    data = x.data
-    n = data.shape[-1]
-    inv_n = 1.0 / n
-    mu = data.sum(axis=-1, keepdims=True) * inv_n
-    centered = data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt(var + eps)
-    normed = centered / std
-    out_data = normed * gamma.data + beta.data
+    tape: list = []
+    out = blocks.layer_norm(x.data.copy(), gamma.data, beta.data, eps, tape)
 
-    def backward(out: Tensor) -> None:
-        grad = out.grad
-        if beta.requires_grad:
-            beta._accumulate(grad.reshape(-1, n).sum(axis=0))
-        if gamma.requires_grad:
-            gamma._accumulate((grad * normed).reshape(-1, n).sum(axis=0))
-        if x.requires_grad:
-            gx = grad * gamma.data
-            mean_gx = gx.sum(axis=-1, keepdims=True) * inv_n
-            mean_gx_normed = (gx * normed).sum(axis=-1, keepdims=True) * inv_n
-            x._accumulate((gx - mean_gx - normed * mean_gx_normed) / std)
+    def backward(node: Tensor) -> None:
+        grad = blocks.layer_norm_backward(tape[0], node.grad, gamma, beta,
+                                          x.requires_grad)
+        if grad is not None:
+            x._accumulate(grad)
 
-    return Tensor._make(out_data, (x, gamma, beta), backward)
+    return Tensor._make(out, (x, gamma, beta), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

@@ -206,8 +206,8 @@ class Dropout(Module):
         """The scaled mask for an activation of ``shape``; None when inactive.
 
         With ``rows`` the activation holds only position ``rows[b]`` of an
-        axis -2 of full length ``seq_len``. The raw-numpy fastpath calls
-        this directly, so both paths draw the same masks.
+        axis -2 of full length ``seq_len``. The block kernels call this
+        directly, so training and inference draw the same masks.
         """
         if not self.training or self.p <= 0.0:
             return None

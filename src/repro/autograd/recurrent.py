@@ -11,12 +11,18 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import init
+from .blocks import lstm_node
 from .module import Module, Parameter
-from .tensor import Tensor, concatenate, stack
+from .tensor import Tensor, concatenate
 
 
 class LSTMCell(Module):
-    """A single LSTM step: gates computed from [x_t, h_{t-1}]."""
+    """A single LSTM step: gates computed from [x_t, h_{t-1}].
+
+    Holds the weights an :class:`LSTM` runs; the LSTM itself steps through
+    them in one node (:func:`repro.autograd.blocks.lstm`), in this
+    method's op order.
+    """
 
     def __init__(self, input_size: int, hidden_size: int,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -55,15 +61,9 @@ class LSTM(Module):
         self.reverse = reverse
 
     def forward(self, x: Tensor) -> Tensor:
-        batch, seq, _ = x.shape
-        h = Tensor(np.zeros((batch, self.hidden_size)))
-        c = Tensor(np.zeros((batch, self.hidden_size)))
-        steps = range(seq - 1, -1, -1) if self.reverse else range(seq)
-        outputs: list[Tensor] = [None] * seq  # type: ignore[list-item]
-        for t in steps:
-            h, c = self.cell(x[:, t, :], (h, c))
-            outputs[t] = h
-        return stack(outputs, axis=1)  # (batch, seq, hidden)
+        """(batch, seq, input) -> (batch, seq, hidden), as one graph node
+        (:func:`repro.autograd.blocks.lstm_node`) over ``cell``'s weights."""
+        return lstm_node(self, x)
 
 
 class BiLSTM(Module):

@@ -6,15 +6,19 @@ from typing import Optional
 
 import numpy as np
 
-from . import functional as F
-from .attention import MultiHeadAttention, at_rows
+from .attention import MultiHeadAttention
+from .blocks import encoder_layer_node
 from .layers import Dropout, LayerNorm, Linear
 from .module import Module
 from .tensor import Tensor
 
 
 class FeedForward(Module):
-    """Position-wise feed-forward block with GELU."""
+    """Position-wise feed-forward block with GELU.
+
+    Holds the FFN's parameters and dropout; the computation runs inside
+    the encoder layer's node (:func:`repro.autograd.blocks.feed_forward`).
+    """
 
     def __init__(self, d_model: int, d_ff: int,
                  rng: Optional[np.random.Generator] = None,
@@ -24,13 +28,6 @@ class FeedForward(Module):
         self.fc1 = Linear(d_model, d_ff, rng=rng)
         self.fc2 = Linear(d_ff, d_model, rng=rng)
         self.dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**31)))
-
-    def forward(self, x: Tensor, rows: Optional[np.ndarray] = None,
-                seq_len: Optional[int] = None) -> Tensor:
-        # ``rows``/``seq_len`` describe a last-layer (B, 1, D) input to
-        # the dropout; see TransformerEncoderLayer.forward
-        return self.dropout(self.fc2(F.gelu(self.fc1(x))), rows=rows,
-                            seq_len=seq_len)
 
 
 class TransformerEncoderLayer(Module):
@@ -56,24 +53,11 @@ class TransformerEncoderLayer(Module):
         attention output, residuals, both LayerNorms and the FFN run on
         one position per sequence, and each dropout keeps the draws the
         full layer would make there (same generator states afterwards).
+        Optional PEFT bottleneck adapters (repro.core.peft) hang off the
+        layer as ``adapter_attn``/``adapter_ffn``. The layer is one graph
+        node (:func:`repro.autograd.blocks.encoder_layer_node`).
         """
-        # Optional PEFT bottleneck adapters (repro.core.peft) hang off the
-        # layer as ``adapter_attn``/``adapter_ffn``; absent attributes keep
-        # this the exact pre-PEFT graph.
-        seq_len = x.shape[1]
-        attn_out = self.dropout(self.attention(x, pad_mask=pad_mask, rows=rows),
-                                rows=rows, seq_len=seq_len)
-        adapter = getattr(self, "adapter_attn", None)
-        if adapter is not None:
-            attn_out = adapter(attn_out)
-        residual = x if rows is None else at_rows(x, rows)
-        x = self.norm1(residual + attn_out)
-        ffn_out = self.ffn(x, rows=rows, seq_len=seq_len)
-        adapter = getattr(self, "adapter_ffn", None)
-        if adapter is not None:
-            ffn_out = adapter(ffn_out)
-        x = self.norm2(x + ffn_out)
-        return x if rows is None else x.reshape(x.shape[0], x.shape[2])
+        return encoder_layer_node(self, x, pad_mask, rows)
 
 
 class TransformerEncoder(Module):

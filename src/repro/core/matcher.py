@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..autograd import Module
-from ..data.dataset import CandidatePair, GEMDataset, LowResourceView
+from ..data.dataset import CandidatePair, LowResourceView
 from ..data.serialize import serialize
 from ..eval.metrics import PRF
 from ..infer import EngineConfig, InferenceEngine

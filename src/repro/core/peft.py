@@ -11,16 +11,15 @@ provides the two delta families over one frozen backbone:
   embedding matrix instead of the frozen :class:`PromptEncoder`'s
   LSTM+MLP reparameterization. The matrix conforms to the
   ``prompt_encoder()`` protocol (callable returning a Tensor), so both
-  the autograd reference path and the raw-numpy fastpath consume it with
+  the recorded training path and the no-grad fastpath consume it with
   zero kernel changes.
 * :class:`Adapter` / :func:`install_adapters` -- bottleneck residual
   blocks (``x + up(gelu(down(x)))``, ``up`` zero-initialized so insertion
   is exact identity) hung off each transformer layer as ``adapter_attn``
-  and ``adapter_ffn``. Both the reference
-  :class:`~repro.autograd.transformer.TransformerEncoderLayer` forward
-  and the fastpath ``encoder_hidden`` apply them via
-  ``getattr(layer, "adapter_*", None)`` -- absent means the exact
-  pre-PEFT code path, byte for byte.
+  and ``adapter_ffn``. The encoder-layer kernel
+  (:func:`repro.autograd.blocks.encoder_layer`), which training and the
+  fastpath both run, applies them via ``getattr(layer, "adapter_*",
+  None)`` -- absent means the exact pre-PEFT code path, byte for byte.
 
 :func:`apply_peft` freezes the backbone in place (see
 :meth:`~repro.autograd.module.Parameter.freeze_`: gradients still flow
@@ -46,7 +45,7 @@ from .prompt_model import PromptModel
 #: delta families understood by ``apply_peft`` / ``repro tune --peft``
 PEFT_KINDS = ("soft_prompt", "adapter")
 
-#: attribute slots probed by the transformer forward and the fastpath
+#: attribute slots probed by the encoder-layer kernel
 ADAPTER_SLOTS = ("adapter_attn", "adapter_ffn")
 
 
@@ -88,7 +87,7 @@ class Adapter(Module):
     """Bottleneck residual block: ``x + up(gelu(down(x)))``.
 
     ``up`` is zero-initialized, so a freshly installed adapter is an exact
-    identity -- predictions (reference and fastpath) are unchanged until
+    identity -- predictions (training and fastpath) are unchanged until
     tuning moves the delta.
     """
 

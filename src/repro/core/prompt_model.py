@@ -10,11 +10,11 @@ pre-training exactly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..autograd import Module, Tensor, functional as F, is_grad_enabled, where
+from ..autograd import Module, Tensor, functional as F, is_grad_enabled
 from ..data.dataset import CandidatePair
 from ..data.serialize import serialize
 from ..infer import PairEncoding
@@ -112,21 +112,11 @@ class PromptModel(Module):
             is_prompt = np.tile(is_prompt, (tile, 1))
             prompt_idx = np.tile(prompt_idx, (tile, 1))
             mask_positions = np.tile(mask_positions, tile)
-        batch, longest = ids.shape
-
-        token_vecs = self.lm.token_embedding(ids)
-        if self.prompt_encoder is not None and is_prompt.any():
-            prompt_vecs = self.prompt_encoder()  # (P, D)
-            gathered = prompt_vecs[prompt_idx.reshape(-1)].reshape(
-                batch, longest, self.lm.config.d_model)
-            condition = np.broadcast_to(
-                is_prompt[:, :, None],
-                (batch, longest, self.lm.config.d_model))
-            token_vecs = where(condition, gathered, token_vecs)
-
-        positions = np.broadcast_to(np.arange(longest), ids.shape)
-        embeds = self.lm.embed_from_vectors(token_vecs, positions,
-                                            token_ids=ids)
+        prompt = (self.prompt_encoder()
+                  if self.prompt_encoder is not None and is_prompt.any()
+                  else None)  # (P, D)
+        embeds = self.lm.embed(ids, prompt=prompt, is_prompt=is_prompt,
+                               prompt_idx=prompt_idx)
         # the head reads only the [MASK] rows, so the last encoder layer
         # runs only there and the (d, V) vocab head projects (B, d) rows
         at_mask = self.lm.encode(ids, pad_mask=pad_mask, inputs_embeds=embeds,
@@ -154,10 +144,9 @@ class PromptModel(Module):
                         tile: int = 1) -> Tensor:
         """(tile * B, 2) probabilities from cached encodings (engine path).
 
-        Under ``no_grad`` this dispatches to the raw-numpy kernels in
-        :mod:`repro.infer.fastpath` (same math and dropout draws, no
-        autograd bookkeeping); with gradients enabled it runs the recorded
-        reference path.
+        Under ``no_grad`` this dispatches to :mod:`repro.infer.fastpath`
+        (the same block kernels and dropout draws, bit-identical, no
+        autograd bookkeeping); with gradients enabled it records the graph.
         """
         if not is_grad_enabled():
             return Tensor(prompt_forward_encoded(self, encodings, tile=tile))

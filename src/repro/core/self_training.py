@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
 from ..autograd import Module
 from ..data.dataset import CandidatePair
 from ..infer import EngineConfig, InferenceEngine

@@ -15,7 +15,7 @@ comparison strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.cluster.vq import kmeans2

@@ -10,13 +10,13 @@ variable: ``smoke`` for CI-speed runs, ``paper`` for the full evaluation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # avoid a circular import; Matcher is annotation-only here
     from ..baselines.base import Matcher
 
-from ..data.dataset import GEMDataset, LowResourceView
+from ..data.dataset import LowResourceView
 from ..data.generators.registry import DATASET_NAMES, load_dataset
 from ..obs.resources import ResourceMeter, ResourceReport
 from .metrics import PRF

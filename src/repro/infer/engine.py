@@ -32,7 +32,7 @@ still gaining tiled MC-Dropout by repeating the pair list.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np

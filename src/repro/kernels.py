@@ -1,8 +1,9 @@
 """Numpy helpers shared by the scoring kernels, with no other dependency.
 
-:mod:`repro.ann.kernels`, :mod:`repro.privacy.kernels` and
-:mod:`repro.infer.fastpath` all recycle per-thread scratch buffers and
-keep the top-k of a score vector; the candidate indexes and the serving
+:mod:`repro.ann.kernels`, :mod:`repro.privacy.kernels`,
+:mod:`repro.autograd.blocks` and :mod:`repro.infer.fastpath` recycle
+per-thread scratch buffers, and the first two keep the top-k of a score
+vector; the candidate indexes and the serving
 shards all order hits the same way (:func:`rank_key`, and
 :func:`top_rows` for a score array). This module holds the one copy of
 each. It imports only numpy and threading, so :mod:`repro.privacy` still

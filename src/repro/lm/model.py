@@ -21,6 +21,7 @@ from ..autograd import (
     Dropout, Embedding, LayerNorm, Linear, Module, Parameter, Tensor,
     TransformerEncoder, functional as F,
 )
+from ..autograd.blocks import embedding_node
 from .config import LMConfig
 
 
@@ -74,8 +75,17 @@ class MiniLM(Module):
                 flags[i] = np.isin(row, list(repeated)).astype(np.int64)
         return flags
 
-    def embed(self, token_ids: np.ndarray) -> Tensor:
-        """(B, T) int ids -> (B, T, D) embeddings with positions."""
+    def embed(self, token_ids: np.ndarray, prompt: Optional[Tensor] = None,
+              is_prompt: Optional[np.ndarray] = None,
+              prompt_idx: Optional[np.ndarray] = None) -> Tensor:
+        """(B, T) int ids -> (B, T, D) embeddings with positions.
+
+        ``prompt`` (P, D) splices P-tuning's trainable continuous prompt
+        vectors into the embedding stream (paper Section 3.1): slot
+        ``is_prompt[b, t]`` takes row ``prompt_idx[b, t]`` instead of its
+        token vector. One graph node
+        (:func:`repro.autograd.blocks.embedding_node`).
+        """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise ValueError(f"expected (batch, seq) ids, got shape {token_ids.shape}")
@@ -83,11 +93,8 @@ class MiniLM(Module):
         if seq_len > self.config.max_len:
             raise ValueError(
                 f"sequence length {seq_len} exceeds max_len {self.config.max_len}")
-        positions = np.broadcast_to(np.arange(seq_len), token_ids.shape)
-        x = (self.token_embedding(token_ids)
-             + self.position_embedding(positions)
-             + self.duplicate_embedding(self.duplicate_flags(token_ids)))
-        return self.embedding_dropout(self.embedding_norm(x))
+        return embedding_node(self, token_ids, self.duplicate_flags(token_ids),
+                              prompt, is_prompt, prompt_idx)
 
     def encode(self, token_ids: np.ndarray,
                pad_mask: Optional[np.ndarray] = None,
@@ -95,10 +102,10 @@ class MiniLM(Module):
                rows: Optional[np.ndarray] = None) -> Tensor:
         """Contextual hidden states (B, T, D), or (B, D) with ``rows``.
 
-        ``inputs_embeds`` lets P-tuning splice trainable continuous prompt
-        vectors directly into the embedding stream (paper Section 3.1).
-        ``rows`` (B,) returns only position ``rows[b]`` of each sequence,
-        and the last encoder layer runs only there (see
+        ``inputs_embeds`` replaces :meth:`embed`'s output (the prompt model
+        passes embeddings with its continuous prompt spliced in). ``rows``
+        (B,) returns only position ``rows[b]`` of each sequence, and the
+        last encoder layer runs only there (see
         :meth:`TransformerEncoder.forward`).
         """
         if inputs_embeds is None:
@@ -108,15 +115,6 @@ class MiniLM(Module):
         if pad_mask is None:
             pad_mask = token_ids == 0
         return self.encoder(inputs_embeds, pad_mask=pad_mask, rows=rows)
-
-    def embed_from_vectors(self, vectors: Tensor, positions: np.ndarray,
-                           token_ids: Optional[np.ndarray] = None) -> Tensor:
-        """Apply positional (and duplicate, when ids are given) embeddings +
-        norm + dropout to raw token vectors (the P-tuning injection path)."""
-        x = vectors + self.position_embedding(positions)
-        if token_ids is not None:
-            x = x + self.duplicate_embedding(self.duplicate_flags(token_ids))
-        return self.embedding_dropout(self.embedding_norm(x))
 
     def mlm_logits(self, hidden: Tensor) -> Tensor:
         """(B, T, D) hidden -> (B, T, V) vocabulary logits (tied decoder)."""

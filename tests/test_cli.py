@@ -68,7 +68,6 @@ class TestTelemetry:
         """End-to-end: a --telemetry run covers trainer steps, self-training
         rounds and engine cache stats, and every record passes schema
         validation."""
-        from repro.cli import _make_matcher
         from repro.core import PromptEM, PromptEMConfig
         from repro.lm import load_pretrained
         from repro.obs import read_events
