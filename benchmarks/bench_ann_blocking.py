@@ -14,13 +14,16 @@ else is far). Each entity yields both
   kernels.
 
 Per query the two arms do their full candidate-generation work for the
-same top-k budget; the ``speedup`` column is sparse-per-query time over
-ANN-per-query time. Recall is measured against the *exact float32 dense
-top-k* (ties id-broken, same rule everywhere), and the headline speedup
-is the best config whose recall clears 0.95 -- a fast config below the
-recall bar does not count. ``int8_agreement`` reports full-scan int8
-vs float32 top-k membership overlap (the quantization-only error,
-config-independent), with its >= 0.99 acceptance bar.
+same top-k budget. Each arm's per-query milliseconds must stay under an
+absolute ceiling for its kind and scale (:data:`QUERY_MS_CEILING`), and
+at least one ANN config must clear recall 0.95 against the *exact
+float32 dense top-k* (ties id-broken, same rule everywhere).
+``int8_agreement`` reports full-scan int8 vs float32 top-k membership
+overlap (the quantization-only error, config-independent), with its
+>= 0.99 acceptance bar. The ``speedup`` column, sparse-per-query time
+over ANN-per-query time, is information only: a ratio hides a change
+that slows both arms and fails when the baseline arm gets faster. The
+headline ratio is the best config whose recall clears 0.95.
 
 Embedding the catalog with the frozen bi-encoder is a one-time build
 cost, reported separately (measured on a subsample, extrapolated) and
@@ -43,6 +46,32 @@ from repro.ann import (  # noqa: E402
 from repro.data.records import EntityRecord  # noqa: E402
 from repro.eval import bench_scale, render_table  # noqa: E402
 from repro.serve import ServingIndex  # noqa: E402
+
+
+#: per-query ceilings in ms for each arm kind at each bench scale. On a
+#: 2-vCPU x86 host (Python 3.11.7, numpy 2.4.6, one OpenBLAS thread) the
+#: slowest config of each kind read, over eleven smoke runs (in six, one
+#: other arm was slowed on purpose) and three paper runs: smoke sparse
+#: 0.20-0.51, ivf 0.19-0.37, lsh 0.17-0.30; paper sparse 1.9-2.7, ivf
+#: 0.94-1.45, lsh 0.49-0.74. The ceilings leave about 3-6x of that for
+#: slower runners and sit below a real slowdown of each arm: at smoke
+#: scale, an IVF or LSH probe that returns every row read 1.5-2.3 ms a
+#: query, and the dict-of-set sparse index the array index replaced
+#: 23-33 ms.
+QUERY_MS_CEILING = {
+    "smoke": {"sparse": 3.0, "ivf": 1.2, "lsh": 1.2},
+    "paper": {"sparse": 12.0, "ivf": 5.0, "lsh": 3.0},
+}
+
+
+def token_text(token_ids):
+    """Space-joined words for vocabulary ids: ``tok`` plus the id's four
+    base-26 letters (``tokaaaa``, ``tokbaaa``, ...), distinct for ids
+    below 26**4. Letters only, because the sparse blocker's
+    ``record_tokens`` splits digits off and drops 1-char tokens."""
+    return " ".join(
+        "tok" + "".join(chr(97 + int(t) // 26 ** i % 26) for i in range(4))
+        for t in token_ids)
 
 
 def synthetic_catalog(n, n_queries, dim=64, group=10, vocab=20000,
@@ -68,7 +97,7 @@ def synthetic_catalog(n, n_queries, dim=64, group=10, vocab=20000,
         tokens = np.concatenate([
             cores[entity],
             rng.choice(vocab, size=noise_tokens, replace=False, p=weights)])
-        text = " ".join(f"tok{t}" for t in tokens)
+        text = token_text(tokens)
         noise = rng.normal(size=dim).astype(np.float32)
         noise *= jitter / np.linalg.norm(noise)
         vector = protos[entity] + noise
@@ -137,7 +166,7 @@ def embed_build_cost(n_total, sample=1000, max_len=32):
     """One-time encoder cost, measured on a sample and extrapolated."""
     rng = np.random.default_rng(7)
     records = [EntityRecord.text_record(
-        f"e{i}", " ".join(f"tok{t}" for t in rng.integers(0, 20000, 12)))
+        f"e{i}", token_text(rng.integers(0, 20000, 12)))
         for i in range(sample)]
     encoder = RecordEncoder(model_name=MODEL_NAME, max_len=max_len)
     encoder.encode_records(records[:32])        # warm the checkpoint
@@ -218,8 +247,12 @@ def run_ann_blocking_bench(n=None, n_queries=None, k=10, seed=0):
         rows,
         title=(f"ANN blocking vs exact overlap top-k "
                f"(n={n}, q={n_queries}, k={k}, scale={scale.name})"))
+    ceiling = QUERY_MS_CEILING[scale.name]
     table += (
-        f"\nheadline speedup (recall >= 0.95): {headline:.1f}x"
+        "\nper-query ceilings: "
+        + ", ".join(f"{kind} {ms:g} ms" for kind, ms in ceiling.items())
+        + f"\nheadline sparse/ANN ratio (recall >= 0.95, information): "
+        f"{headline:.1f}x"
         + (f" [{headline_cfg['config']}]" if headline_cfg else "")
         + f"\nint8 vs float32 top-{k} agreement: {agreement:.4f}"
         + f"\nencoder build cost: {embed['records_per_sec']:.0f} rec/s"
@@ -228,6 +261,7 @@ def run_ann_blocking_bench(n=None, n_queries=None, k=10, seed=0):
     data = {
         "n": n, "queries": n_queries, "k": k, "seed": seed,
         "sparse_query_ms": 1000 * sparse_s,
+        "query_ms_ceiling": ceiling,
         "configs": configs_data,
         "speedup": headline,
         "headline_config": headline_cfg["config"] if headline_cfg else None,
@@ -241,5 +275,9 @@ def test_ann_blocking(benchmark):
     table, data = benchmark.pedantic(run_ann_blocking_bench, rounds=1,
                                      iterations=1)
     emit(table, "ann_blocking", data=data)
-    assert data["speedup"] >= 5.0
+    ceiling = data["query_ms_ceiling"]
+    assert data["sparse_query_ms"] <= ceiling["sparse"]
+    for config in data["configs"]:
+        assert config["query_ms"] <= ceiling[config["kind"]], config["config"]
+    assert data["headline_config"] is not None  # some config: recall >= 0.95
     assert data["int8_agreement"] >= 0.99

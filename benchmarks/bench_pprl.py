@@ -1,6 +1,6 @@
-"""PPRL benchmark: popcount Dice kernel speedup + privacy/F1 trade-off.
+"""PPRL benchmark: popcount Dice kernel, privacy/F1 trade-off, encode rate.
 
-Two arms, one ``BENCH_pprl.json``:
+Three arms, one ``BENCH_pprl.json``:
 
 * **kernel** -- one packed query filter scored against a large synthetic
   catalog.  The vectorized arm is the serving hot path
@@ -24,6 +24,15 @@ Two arms, one ``BENCH_pprl.json``:
   find the real pairs), with ``measure_recall`` doubling as the kernel
   exactness canary.
 
+* **encode** -- catalog ingestion in absolute records/s: the 1,949-record
+  SEMI-REL-shaped catalog of the end-to-end ``match-churn`` workload
+  encoded by :meth:`ClkEncoder.encode_records` (the array kernel, from a
+  fresh encoder and again with its memos warm) and by the per-gram oracle
+  path the kernel replaced (:func:`oracle_encode`: each gram's
+  ``gram_bits`` set one gram at a time, record by record).  Both must
+  produce identical filters in every hardening mode, and the kernel must
+  clear 2,000 records/s from cold.
+
 The headline of this bench is the *trade-off table*, not a single
 scalar: ``data["headline"]`` carries a one-line summary string and
 ``scripts/bench_report.py`` renders it in place of a speedup number
@@ -41,6 +50,9 @@ import numpy as np
 
 from _harness import emit  # noqa: E402
 from repro.data import load_dataset  # noqa: E402
+from repro.data.blocking import record_tokens  # noqa: E402
+from repro.data.generators.base import GeneratorConfig  # noqa: E402
+from repro.data.generators.movies import SemiRelGenerator  # noqa: E402
 from repro.eval import bench_scale, render_table  # noqa: E402
 from repro.privacy import (  # noqa: E402
     ClkConfig, ClkEncoder, PrivateBlocker, dice_topk, naive_dice_scores,
@@ -196,6 +208,68 @@ def run_tradeoff_arm(dataset_name, k=10):
 
 
 # ----------------------------------------------------------------------
+# Encode arm
+# ----------------------------------------------------------------------
+#: the encode arm's floor for the kernel from cold, records/s; the per-gram
+#: path it replaced encoded 1.2-2.0k records/s on a 2-vCPU host
+ENCODE_FLOOR_RECORDS_PER_S = 2000.0
+
+
+def churn_catalog(entities=1100, seed=1):
+    """The catalog the end-to-end ``match-churn`` workload ingests
+    (1,949 records at the default size)."""
+    dataset = SemiRelGenerator(GeneratorConfig(
+        num_entities=entities, extra_right_rows=entities // 4)).build(
+            seed=seed)
+    return list(dataset.right_table.records)
+
+
+def oracle_encode(encoder, records):
+    """The per-gram encoding the kernel replaced: every gram's oracle
+    positions set one gram at a time, then hardened and packed, one record
+    at a time."""
+    out = np.empty((len(records), encoder.config.words), dtype=np.uint64)
+    for i, record in enumerate(records):
+        bits = np.zeros(encoder.config.nbits, dtype=bool)
+        for gram in encoder.qgrams(record):
+            bits[encoder.gram_bits(gram)] = True
+        out[i] = encoder._harden_and_pack(bits)
+    return out
+
+
+def _records_per_s(encode, records):
+    started = time.perf_counter()
+    filters = encode(records)
+    return filters, len(records) / (time.perf_counter() - started)
+
+
+def run_encode_arm(records, nbits=1024):
+    """Records/s of the kernel (cold and warm memos) and of the per-gram
+    oracle, one row per hardening mode, each from a fresh encoder.  Token
+    sets are computed before timing, so no arm pays for tokenizing."""
+    for record in records:
+        record_tokens(record)
+    rows = []
+    for hardening in ("none", "balance", "fold"):
+        config = ClkConfig(nbits=nbits, hardening=hardening)
+        kernel = ClkEncoder(_BENCH_SALT, config)
+        filters, cold = _records_per_s(kernel.encode_records, records)
+        again, warm = _records_per_s(kernel.encode_records, records)
+        oracle = ClkEncoder(_BENCH_SALT, config)
+        expected, slow = _records_per_s(
+            lambda rs: oracle_encode(oracle, rs), records)
+        rows.append({
+            "hardening": hardening, "nbits": nbits, "records": len(records),
+            "kernel_cold_records_per_s": cold,
+            "kernel_warm_records_per_s": warm,
+            "oracle_records_per_s": slow,
+            "identical": bool(np.array_equal(filters, expected)
+                              and np.array_equal(again, expected)),
+        })
+    return rows
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def run_pprl_bench(seed=0):
@@ -206,6 +280,7 @@ def run_pprl_bench(seed=0):
         n, n_queries, naive_rows = 200_000, 40, 2000
 
     kernel = run_kernel_arm(n, n_queries, naive_rows=naive_rows, seed=seed)
+    encode = run_encode_arm(churn_catalog())
     tradeoffs = [run_tradeoff_arm(name) for name in scale.datasets]
 
     table_rows = []
@@ -232,6 +307,14 @@ def run_pprl_bench(seed=0):
         f"{kernel['naive_rows_timed']} rows) -> "
         f"{kernel['speedup']:.1f}x, top-{kernel['k']} agreement "
         f"{kernel['topk_agreement']:.4f}")
+    for row in encode:
+        table += (
+            f"\nencode {row['nbits']}/{row['hardening']}: kernel "
+            f"{row['kernel_cold_records_per_s']:.0f} records/s cold, "
+            f"{row['kernel_warm_records_per_s']:.0f} warm; per-gram oracle "
+            f"{row['oracle_records_per_s']:.0f} records/s "
+            f"(n={row['records']}, filters "
+            f"{'identical' if row['identical'] else 'DIFFER'})")
 
     worst = max((row["f1_cost"] for t in tradeoffs for row in t["rows"]
                  if row["blocker_recall"] is not None), default=0.0)
@@ -242,6 +325,7 @@ def run_pprl_bench(seed=0):
         "kernel": kernel,
         "kernel_speedup": kernel["speedup"],
         "kernel_topk_agreement": kernel["topk_agreement"],
+        "encode": encode,
         "tradeoff": tradeoffs,
         "worst_f1_cost": worst,
         "headline": headline,
@@ -254,6 +338,9 @@ def test_pprl(benchmark):
     emit(table, "pprl", data=data)
     assert data["kernel_speedup"] >= 10.0
     assert data["kernel_topk_agreement"] == 1.0
+    for row in data["encode"]:
+        assert row["identical"]
+        assert row["kernel_cold_records_per_s"] >= ENCODE_FLOOR_RECORDS_PER_S
     for tradeoff in data["tradeoff"]:
         for row in tradeoff["rows"]:
             if row["kernel_recall"] is not None:

@@ -81,13 +81,20 @@ class Module:
             yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
 
     def parameters(self) -> Iterator[Parameter]:
-        for _, param in self.named_parameters():
-            yield param
+        """:meth:`named_parameters` without the names: each module's own
+        parameters, modules in :meth:`modules` order."""
+        for module in self.modules():
+            yield from module._parameters.values()
 
     def modules(self) -> Iterator["Module"]:
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
+        """This module and every descendant, depth first, parents before
+        children, children in registration order; one stack, no
+        recursion."""
+        stack = [self]
+        while stack:
+            module = stack.pop()
+            yield module
+            stack.extend(reversed(module._modules.values()))
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -121,9 +128,10 @@ class Module:
     # Modes
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for child in self._modules.values():
-            child.train(mode)
+        # a bool never registers anything: write each module's flag
+        # straight into its __dict__, past __setattr__'s type checks
+        for module in self.modules():
+            module.__dict__["training"] = mode
         return self
 
     def eval(self) -> "Module":

@@ -65,14 +65,22 @@ class MiniLM(Module):
     def duplicate_flags(token_ids: np.ndarray,
                         num_special: int = 7) -> np.ndarray:
         """(B, T) -> (B, T) int flags: 1 where a non-special token id occurs
-        more than once within its sequence."""
+        more than once within its sequence.
+
+        One pass over the whole batch: sort each row, mark every sorted
+        slot equal to a neighbour, and scatter the marks back through the
+        sort order.
+        """
         token_ids = np.asarray(token_ids, dtype=np.int64)
+        order = np.argsort(token_ids, axis=-1)
+        ranked = np.take_along_axis(token_ids, order, axis=-1)
+        twin = ranked[..., 1:] == ranked[..., :-1]
+        repeated = np.zeros(ranked.shape, dtype=bool)
+        repeated[..., 1:] = twin
+        repeated[..., :-1] |= twin
+        repeated &= ranked >= num_special
         flags = np.zeros_like(token_ids)
-        for i, row in enumerate(token_ids):
-            values, counts = np.unique(row, return_counts=True)
-            repeated = set(values[(counts > 1) & (values >= num_special)])
-            if repeated:
-                flags[i] = np.isin(row, list(repeated)).astype(np.int64)
+        np.put_along_axis(flags, order, repeated, axis=-1)
         return flags
 
     def embed(self, token_ids: np.ndarray, prompt: Optional[Tensor] = None,

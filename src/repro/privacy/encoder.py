@@ -36,7 +36,7 @@ import hashlib
 import hmac
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +55,16 @@ _PAD = "\x00"
 #: entries kept in the per-encoder gram -> (h1, h2) memo
 _GRAM_CACHE_CAP = 65536
 
-_WORD_WEIGHTS = np.left_shift(
-    np.uint64(1), np.arange(WORD_BITS, dtype=np.uint64))
+#: entries kept in the per-encoder token -> bit-position memo
+_TOKEN_CACHE_CAP = 8192
+
+#: the kernel's int64 position arithmetic is exact while
+#: ``num_hashes * nbits`` stays below this (see ``_token_positions``)
+_INT64_EXACT = 2 ** 63
+
+#: records scattered into one bit matrix at a time, which bounds the
+#: scratch memory of a large batch
+_ENCODE_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -119,10 +127,16 @@ class ClkConfig:
 class ClkEncoder:
     """Keyed record -> packed-uint64 CLK encoder.
 
-    ``salt`` is the per-party secret (str or bytes).  Instances are safe to
-    share across threads for encoding (the gram memo is guarded) and
-    survive ``fork``/``spawn`` -- nothing about the encoding depends on
-    process state.
+    ``salt`` is the per-party secret (str or bytes).  Instances survive
+    ``fork``/``spawn`` -- nothing about the encoding depends on process
+    state -- and may be shared by threads that encode concurrently.  The
+    memos take no lock: each is a plain dict that an encode touches only
+    through single ``get``, store and ``clear`` calls (each atomic in
+    CPython), and every entry is an immutable tuple or read-only array
+    that is a pure function of the salt, the config and its key, built in
+    full before the one store that publishes it.  A race can therefore
+    compute an entry twice or drop a memo early, and never hands an encode
+    a partial or foreign entry.
     """
 
     def __init__(self, salt, config: ClkConfig = None) -> None:
@@ -135,6 +149,7 @@ class ClkEncoder:
         self._salt = bytes(salt)
         self.config = config if config is not None else ClkConfig()
         self._gram_memo: Dict[str, Tuple[int, int]] = {}
+        self._token_memo: Dict[str, np.ndarray] = {}
         self._perm = None  # lazily built balance permutation
 
     # -- key material -------------------------------------------------
@@ -149,21 +164,24 @@ class ClkEncoder:
         return hashlib.sha256(b"clk-salt|" + self._salt).hexdigest()[:16]
 
     # -- q-grams ------------------------------------------------------
+    def _token_grams(self, token: str) -> List[str]:
+        """Overlapping q-grams of one token, padded with ``q - 1``
+        boundary characters on both sides so leading/trailing characters
+        carry positional signal."""
+        q = self.config.qgram
+        padded = _PAD * (q - 1) + token + _PAD * (q - 1)
+        return [padded[i:i + q] for i in range(len(padded) - q + 1)]
+
     def qgrams(self, record: EntityRecord) -> List[str]:
         """Sorted q-grams of the record's normalized token set.
 
-        Each token from :func:`record_tokens` is padded with ``q - 1``
-        boundary characters on both sides so leading/trailing characters
-        carry positional signal, then sliced into overlapping q-grams.
-        Sorted + deduplicated for determinism (Bloom insertion order does
+        The union of :meth:`_token_grams` over :func:`record_tokens`,
+        sorted + deduplicated for determinism (Bloom insertion order does
         not matter, but the test oracle iterates these directly).
         """
-        q = self.config.qgram
         grams = set()
         for token in record_tokens(record):
-            padded = _PAD * (q - 1) + token + _PAD * (q - 1)
-            for i in range(len(padded) - q + 1):
-                grams.add(padded[i:i + q])
+            grams.update(self._token_grams(token))
         return sorted(grams)
 
     def _gram_hashes(self, gram: str) -> Tuple[int, int]:
@@ -196,13 +214,69 @@ class ClkEncoder:
         nbits = self.config.nbits
         return [(h1 + i * h2) % nbits for i in range(self.config.num_hashes)]
 
+    def _token_positions(self, token: str) -> np.ndarray:
+        """Every bit position the q-grams of one token set, memoized.
+
+        The oracle's ``(h1 + i * h2) mod n`` equals ``(h1 mod n + i *
+        (h2 mod n)) mod n``.  Both residues are below ``n`` and ``i`` below
+        ``num_hashes``, so no intermediate reaches ``num_hashes * n``, and
+        the int64 arithmetic is exact while ``num_hashes * nbits <
+        2**63``; past that bound the positions come from the oracle's
+        Python integers.  Positions are kept as int32 when they fit, and
+        read-only, so a memo entry is never changed after it is
+        published.
+        """
+        positions = self._token_memo.get(token)
+        if positions is not None:
+            return positions
+        nbits, num_hashes = self.config.nbits, self.config.num_hashes
+        grams = self._token_grams(token)
+        if num_hashes * nbits < _INT64_EXACT:
+            seeds = np.array([(h1 % nbits, h2 % nbits) for h1, h2 in
+                              map(self._gram_hashes, grams)], dtype=np.int64)
+            probes = np.arange(num_hashes, dtype=np.int64)
+            positions = (seeds[:, :1] + probes * seeds[:, 1:]) % nbits
+        else:
+            positions = np.array([self.gram_bits(gram) for gram in grams],
+                                 dtype=np.int64)
+        positions = positions.astype(
+            np.int32 if nbits <= 2 ** 31 else np.int64).ravel()
+        positions.flags.writeable = False
+        memo = self._token_memo
+        if len(memo) >= _TOKEN_CACHE_CAP:
+            memo.clear()
+        memo[token] = positions
+        return positions
+
     # -- encoding -----------------------------------------------------
+    def _encode(self, records: Sequence[EntityRecord]) -> np.ndarray:
+        """The kernel: ``(N, words)`` packed filters.
+
+        Each chunk of records scatters every record's memoized token
+        positions into one ``(chunk, nbits)`` bit matrix, then hardens and
+        packs the whole matrix at once.  Setting a bit twice is setting it
+        once, so repeated grams across a record's tokens need no dedup.
+        """
+        nbits = self.config.nbits
+        out = np.empty((len(records), self.config.words), dtype=np.uint64)
+        for start in range(0, len(records), _ENCODE_CHUNK):
+            chunk = records[start:start + _ENCODE_CHUNK]
+            parts, counts = [], []
+            for record in chunk:
+                row = [self._token_positions(token)
+                       for token in record_tokens(record)]
+                parts.extend(row)
+                counts.append(sum(part.size for part in row))
+            bits = np.zeros((len(chunk), nbits), dtype=bool)
+            if parts:
+                rows = np.repeat(np.arange(len(chunk)) * nbits, counts)
+                bits.reshape(-1)[rows + np.concatenate(parts)] = True
+            out[start:start + len(chunk)] = self._harden_and_pack(bits)
+        return out
+
     def encode_record(self, record: EntityRecord) -> np.ndarray:
         """One record -> packed uint64 filter of ``config.words`` words."""
-        bits = np.zeros(self.config.nbits, dtype=bool)
-        for gram in self.qgrams(record):
-            bits[self.gram_bits(gram)] = True
-        packed = self._harden_and_pack(bits)
+        packed = self._encode([record])[0]
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.counter("privacy.clk.encoded").inc()
@@ -211,14 +285,14 @@ class ClkEncoder:
     def encode_records(self, records: Iterable[EntityRecord]) -> np.ndarray:
         """Batch encode: ``(N, words)`` uint64 matrix, one row per record."""
         started = time.perf_counter()
-        rows = [self.encode_record(record) for record in records]
+        records = list(records)
+        packed = self._encode(records)
         tel = get_telemetry()
         if tel.enabled:
+            tel.metrics.counter("privacy.clk.encoded").inc(len(records))
             tel.metrics.timer("privacy.clk.encode_seconds").observe(
                 time.perf_counter() - started)
-        if not rows:
-            return np.zeros((0, self.config.words), dtype=np.uint64)
-        return np.stack(rows)
+        return packed
 
     # -- hardening ----------------------------------------------------
     def _balance_perm(self) -> np.ndarray:
@@ -232,30 +306,37 @@ class ClkEncoder:
             seed_bytes = hmac.new(
                 self._salt, b"clk-balance-perm", hashlib.sha256).digest()
             seed = int.from_bytes(seed_bytes[:8], "big")
-            rng = np.random.default_rng(seed)
-            self._perm = rng.permutation(2 * self.config.nbits)
+            perm = np.random.default_rng(seed).permutation(
+                2 * self.config.nbits)
+            perm.flags.writeable = False
+            self._perm = perm
         return self._perm
 
     def _harden_and_pack(self, bits: np.ndarray) -> np.ndarray:
+        """``(..., nbits)`` bool bits -> ``(..., words)`` hardened filters."""
         mode = self.config.hardening
         if mode == "balance":
-            bits = np.concatenate([bits, ~bits])[self._balance_perm()]
+            bits = np.concatenate([bits, ~bits], axis=-1)[
+                ..., self._balance_perm()]
         packed = self._pack(bits)
         if mode == "fold":
-            half = len(packed) // 2
-            packed = packed[:half] ^ packed[half:]
+            half = packed.shape[-1] // 2
+            packed = packed[..., :half] ^ packed[..., half:]
         return packed
 
     @staticmethod
     def _pack(bits: np.ndarray) -> np.ndarray:
-        """Bool bit array -> little-endian-bit uint64 words.
+        """Bool bits ``(..., n)`` -> little-endian-bit uint64 words.
 
         Bit ``i`` of the filter lands in word ``i // 64`` at in-word
         position ``i % 64`` -- the layout every kernel, the catalog file,
-        and the base64 wire helpers all assume.
+        and the base64 wire helpers all assume.  Little-endian bit order
+        within each byte and little-endian bytes within each word give
+        exactly that.
         """
-        words = bits.reshape(-1, WORD_BITS).astype(np.uint64)
-        return (words * _WORD_WEIGHTS).sum(axis=1, dtype=np.uint64)
+        packed = np.ascontiguousarray(
+            np.packbits(bits, axis=-1, bitorder="little"))
+        return packed.view("<u8").astype(np.uint64, copy=False)
 
     # -- bookkeeping --------------------------------------------------
     def params(self) -> Dict[str, object]:

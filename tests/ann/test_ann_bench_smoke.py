@@ -19,6 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 from bench_ann_blocking import (  # noqa: E402
     run_ann_blocking_bench, synthetic_catalog,
 )
+from repro.data.blocking import record_tokens  # noqa: E402
+from repro.data.records import EntityRecord  # noqa: E402
 
 
 @pytest.mark.smoke
@@ -40,6 +42,7 @@ def test_ann_blocking_benchmark_smoke():
     assert data["int8_agreement"] >= 0.99
     assert data["headline_config"] is not None
     assert data["embed"]["records_per_sec"] > 0
+    assert set(data["query_ms_ceiling"]) == {"sparse", "ivf", "lsh"}
     assert "ANN blocking" in table
 
 
@@ -57,3 +60,15 @@ def test_synthetic_catalog_shape_and_determinism():
     np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0,
                                atol=1e-5)
     assert all(t and t.startswith("tok") for t in texts + q_texts)
+
+
+@pytest.mark.smoke
+def test_synthetic_tokens_survive_blocking_tokenizer():
+    # the sparse arm sees record_tokens(), which splits digits off and
+    # drops 1-char tokens: each record must keep its distinct words, or
+    # every query ties with the whole catalog
+    texts, _, q_texts, _ = synthetic_catalog(120, 7, dim=16, seed=3)
+    token_sets = [record_tokens(EntityRecord.text_record(f"r{i}", text))
+                  for i, text in enumerate(texts + q_texts)]
+    assert all(len(tokens) >= 8 for tokens in token_sets)
+    assert len(frozenset().union(*token_sets)) > 100

@@ -168,6 +168,29 @@ class TestModulePlumbing:
         model.train()
         assert model.fc2.training
 
+    def test_walks_keep_recursive_order(self):
+        """The iterative walks visit what the recursive ones visited, in
+        the same order: parents first, children in registration order."""
+        def preorder(module):
+            yield module
+            for child in module._modules.values():
+                yield from preorder(child)
+
+        model = Sequential(self._tiny(),
+                           MLP(3, [5, 4], 2, rng=RNG, dropout=0.1),
+                           Sequential(Dropout(0.1), self._tiny()))
+        assert [id(m) for m in model.modules()] == \
+            [id(m) for m in preorder(model)]
+        assert [id(p) for p in model.parameters()] == \
+            [id(p) for _, p in model.named_parameters()]
+        model.eval()
+        assert not any(m.training for m in preorder(model))
+        model.layers[2].train()
+        assert [m.training for m in preorder(model)] == \
+            [False] * (1 + len(list(preorder(model.layers[0])))
+                       + len(list(preorder(model.layers[1])))) \
+            + [True] * len(list(preorder(model.layers[2])))
+
     def test_state_dict_roundtrip(self):
         model = self._tiny()
         twin = self._tiny()

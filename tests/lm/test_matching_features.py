@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import MultiHeadAttention, Tensor
 from repro.lm import LMConfig, MiniLM
+
+from .reference_flags import duplicate_flags as reference_flags
 
 
 class TestDuplicateFlags:
@@ -28,6 +32,34 @@ class TestDuplicateFlags:
         ids = np.array([[10, 11], [10, 10]])
         flags = MiniLM.duplicate_flags(ids)
         np.testing.assert_array_equal(flags, [[0, 0], [1, 1]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(
+        st.lists(st.integers(0, 24), min_size=width, max_size=width),
+        min_size=1, max_size=5)))
+    def test_equals_per_row_reference(self, rows):
+        # ids 0-6 are pad and special ids; a small id range makes repeats,
+        # repeated specials and repeated pads all common
+        ids = np.array(rows)
+        flags = MiniLM.duplicate_flags(ids)
+        assert flags.dtype == np.int64 and flags.shape == ids.shape
+        np.testing.assert_array_equal(flags, reference_flags(ids))
+
+    @pytest.mark.parametrize("shape,vocab", [((85, 48), 725), ((8, 96), 725),
+                                             ((3, 96), 40)])
+    def test_padded_batches_equal_reference(self, shape, vocab):
+        rng = np.random.default_rng(sum(shape))
+        ids = rng.integers(7, vocab, size=shape)
+        ids[:, 0], ids[:, shape[1] // 2] = 2, 3  # [CLS], [SEP]
+        ids[1:, -7:] = 0  # padded rows
+        np.testing.assert_array_equal(MiniLM.duplicate_flags(ids),
+                                      reference_flags(ids))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_shapes(self, shape):
+        ids = np.zeros(shape, dtype=np.int64)
+        np.testing.assert_array_equal(MiniLM.duplicate_flags(ids),
+                                      reference_flags(ids))
 
     def test_flags_change_encoding(self):
         cfg = LMConfig(vocab_size=30, d_model=16, num_layers=1, num_heads=2,

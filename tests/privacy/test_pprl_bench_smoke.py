@@ -1,12 +1,13 @@
 """Tier-1 smoke pass over the PPRL benchmark logic.
 
-Runs the kernel arm of :mod:`benchmarks.bench_pprl` at toy scale and the
-trade-off arm on the smallest dataset, checking structural outputs --
-exact top-k agreement, plaintext-vs-CLK F1 ordering, kernel-exactness
-recall -- WITHOUT asserting wall-clock speedups, so the test is stable
-on loaded CI machines.  The real 10^5-filter timing comparison lives in
+Runs the kernel and encode arms of :mod:`benchmarks.bench_pprl` at toy
+scale and the trade-off arm on the smallest dataset, checking structural
+outputs -- exact top-k agreement, identical kernel and oracle filters,
+plaintext-vs-CLK F1 ordering, kernel-exactness recall -- WITHOUT
+asserting wall-clock speedups, so the test is stable on loaded CI
+machines.  The real 10^5-filter timing comparison lives in
 ``benchmarks/bench_pprl.py`` (CI runs it at smoke scale in the bench job,
-which also enforces the >= 10x bar).
+which also enforces the >= 10x bar and the encode floor).
 """
 
 import sys
@@ -18,8 +19,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
 from bench_pprl import (  # noqa: E402
-    CLK_CONFIGS, best_f1, run_kernel_arm, run_tradeoff_arm,
-    synthetic_filters,
+    CLK_CONFIGS, best_f1, churn_catalog, run_encode_arm, run_kernel_arm,
+    run_tradeoff_arm, synthetic_filters,
 )
 
 
@@ -69,3 +70,16 @@ def test_tradeoff_arm_smoke():
         assert 0.0 <= row["blocker_recall"] <= 1.0
         # kernel-exactness canary: packed top-k == reference ranking
         assert row["kernel_recall"] == 1.0
+
+
+@pytest.mark.smoke
+def test_encode_arm_smoke():
+    records = churn_catalog(entities=40)
+    rows = run_encode_arm(records, nbits=256)
+    assert [row["hardening"] for row in rows] == ["none", "balance", "fold"]
+    for row in rows:
+        assert row["records"] == len(records) > 0
+        # the kernel and the per-gram oracle encode the same filters
+        assert row["identical"]
+        assert row["kernel_cold_records_per_s"] > 0
+        assert row["oracle_records_per_s"] > 0
