@@ -31,7 +31,7 @@ Three arms, one ``BENCH_pprl.json``:
   path the kernel replaced (:func:`oracle_encode`: each gram's
   ``gram_bits`` set one gram at a time, record by record).  Both must
   produce identical filters in every hardening mode, and the kernel must
-  clear 2,000 records/s from cold.
+  clear 5,000 records/s from cold.
 
 The headline of this bench is the *trade-off table*, not a single
 scalar: ``data["headline"]`` carries a one-line summary string and
@@ -210,9 +210,10 @@ def run_tradeoff_arm(dataset_name, k=10):
 # ----------------------------------------------------------------------
 # Encode arm
 # ----------------------------------------------------------------------
-#: the encode arm's floor for the kernel from cold, records/s; the per-gram
-#: path it replaced encoded 1.2-2.0k records/s on a 2-vCPU host
-ENCODE_FLOOR_RECORDS_PER_S = 2000.0
+#: the encode arm's floor for the kernel from cold, records/s: more than 2x
+#: below the kernel's slowest cold run on a 2-vCPU host (12.2k) and above
+#: the 0.8-2.0k of the per-gram path it replaced there
+ENCODE_FLOOR_RECORDS_PER_S = 5000.0
 
 
 def churn_catalog(entities=1100, seed=1):
@@ -227,7 +228,7 @@ def churn_catalog(entities=1100, seed=1):
 def oracle_encode(encoder, records):
     """The per-gram encoding the kernel replaced: every gram's oracle
     positions set one gram at a time, then hardened and packed, one record
-    at a time."""
+    at a time.  The tests check the kernel against this one copy."""
     out = np.empty((len(records), encoder.config.words), dtype=np.uint64)
     for i, record in enumerate(records):
         bits = np.zeros(encoder.config.nbits, dtype=bool)

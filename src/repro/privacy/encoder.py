@@ -58,10 +58,6 @@ _GRAM_CACHE_CAP = 65536
 #: entries kept in the per-encoder token -> bit-position memo
 _TOKEN_CACHE_CAP = 8192
 
-#: the kernel's int64 position arithmetic is exact while
-#: ``num_hashes * nbits`` stays below this (see ``_token_positions``)
-_INT64_EXACT = 2 ** 63
-
 #: records scattered into one bit matrix at a time, which bounds the
 #: scratch memory of a large batch
 _ENCODE_CHUNK = 512
@@ -97,6 +93,11 @@ class ClkConfig:
             raise ValueError(f"num_hashes must be >= 1, got {self.num_hashes}")
         if self.qgram < 1:
             raise ValueError(f"qgram must be >= 1, got {self.qgram}")
+        if self.num_hashes * self.nbits >= 2 ** 63:
+            # the encoder's int64 position arithmetic is exact below this
+            raise ValueError(
+                f"num_hashes * nbits must be below 2**63, got "
+                f"{self.num_hashes} * {self.nbits}")
 
     @property
     def encoded_nbits(self) -> int:
@@ -220,26 +221,20 @@ class ClkEncoder:
         The oracle's ``(h1 + i * h2) mod n`` equals ``(h1 mod n + i *
         (h2 mod n)) mod n``.  Both residues are below ``n`` and ``i`` below
         ``num_hashes``, so no intermediate reaches ``num_hashes * n``, and
-        the int64 arithmetic is exact while ``num_hashes * nbits <
-        2**63``; past that bound the positions come from the oracle's
-        Python integers.  Positions are kept as int32 when they fit, and
-        read-only, so a memo entry is never changed after it is
-        published.
+        the int64 arithmetic is exact because :class:`ClkConfig` rejects
+        ``num_hashes * nbits >= 2**63``.  Positions are kept as int32 when
+        they fit, and read-only, so a memo entry is never changed after
+        it is published.
         """
         positions = self._token_memo.get(token)
         if positions is not None:
             return positions
         nbits, num_hashes = self.config.nbits, self.config.num_hashes
-        grams = self._token_grams(token)
-        if num_hashes * nbits < _INT64_EXACT:
-            seeds = np.array([(h1 % nbits, h2 % nbits) for h1, h2 in
-                              map(self._gram_hashes, grams)], dtype=np.int64)
-            probes = np.arange(num_hashes, dtype=np.int64)
-            positions = (seeds[:, :1] + probes * seeds[:, 1:]) % nbits
-        else:
-            positions = np.array([self.gram_bits(gram) for gram in grams],
-                                 dtype=np.int64)
-        positions = positions.astype(
+        seeds = np.array([(h1 % nbits, h2 % nbits) for h1, h2 in
+                          map(self._gram_hashes, self._token_grams(token))],
+                         dtype=np.int64)
+        probes = np.arange(num_hashes, dtype=np.int64)
+        positions = ((seeds[:, :1] + probes * seeds[:, 1:]) % nbits).astype(
             np.int32 if nbits <= 2 ** 31 else np.int64).ravel()
         positions.flags.writeable = False
         memo = self._token_memo

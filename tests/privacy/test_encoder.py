@@ -10,6 +10,8 @@ state involved (the encoder uses only HMAC, never Python's seeded
 """
 
 import multiprocessing
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,10 @@ from repro.privacy import (
 )
 
 from .conftest import make_record, make_records
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from bench_pprl import oracle_encode  # noqa: E402
 
 SALT = "tests-shared-secret"
 
@@ -169,6 +175,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ClkConfig(qgram=0)
 
+    def test_position_arithmetic_fits_int64(self):
+        ClkConfig(nbits=2 ** 57, num_hashes=63)
+        with pytest.raises(ValueError):
+            ClkConfig(nbits=2 ** 57, num_hashes=64)
+
     def test_salt_required(self):
         with pytest.raises(ValueError):
             ClkEncoder("")
@@ -187,10 +198,7 @@ class TestGramOracle:
         # re-derive the filter from the public oracle methods
         encoder = ClkEncoder(SALT, ClkConfig(nbits=256, num_hashes=5))
         record = make_record(11)
-        bits = np.zeros(256, dtype=bool)
-        for gram in encoder.qgrams(record):
-            bits[encoder.gram_bits(gram)] = True
-        expected = encoder._pack(bits)
+        expected = oracle_encode(encoder, [record])[0]
         np.testing.assert_array_equal(encoder.encode_record(record),
                                       expected)
 

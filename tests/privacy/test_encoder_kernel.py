@@ -5,9 +5,10 @@ matrix per batch, then hardens and packs it.  Three independent checks pin
 it:
 
 * a property test against the per-gram oracle -- ``gram_bits`` set one
-  gram at a time, then ``_harden_and_pack`` -- over random token sets,
-  filter lengths that are not powers of two, q-gram sizes, hash counts and
-  every hardening mode;
+  gram at a time, then ``_harden_and_pack`` (``oracle_encode`` in
+  ``benchmarks/bench_pprl.py``, which also times it) -- over random token
+  sets, filter lengths that are not powers of two, q-gram sizes, hash
+  counts and every hardening mode;
 * sha256 digests of a fixed synthetic catalog's filters, recorded with the
   per-gram encoder the kernel replaced.  A kernel that agreed with itself
   but drifted from the filters parties already hold (a persisted
@@ -17,7 +18,9 @@ it:
 """
 
 import hashlib
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,10 @@ from repro.privacy import (
 )
 from repro.privacy import encoder as encoder_module
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from bench_pprl import oracle_encode  # noqa: E402
+
 SALT = "kernel-oracle-salt"
 
 #: word counts whose filter lengths (64 * words) are not powers of two
@@ -38,15 +45,6 @@ WORDS = (3, 5, 6, 7, 9, 10, 12, 15, 20)
 #: record tokens are lower-case runs of two or more letters
 TOKENS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=2,
                  max_size=14)
-
-
-def oracle_filter(encoder, record):
-    """The per-gram encoding: every gram's oracle positions set one gram at
-    a time, then the shared hardening and packing."""
-    bits = np.zeros(encoder.config.nbits, dtype=bool)
-    for gram in encoder.qgrams(record):
-        bits[encoder.gram_bits(gram)] = True
-    return encoder._harden_and_pack(bits)
 
 
 def token_record(i, tokens):
@@ -77,25 +75,11 @@ class TestKernelMatchesOracle:
         batch = encoder.encode_records(records)
         assert batch.shape == (len(records), config.words)
         assert batch.dtype == np.uint64
+        np.testing.assert_array_equal(
+            batch, oracle_encode(ClkEncoder(SALT, config), records))
         for i, record in enumerate(records):
             np.testing.assert_array_equal(batch[i],
                                           encoder.encode_record(record))
-            np.testing.assert_array_equal(
-                batch[i], oracle_filter(ClkEncoder(SALT, config), record))
-
-    @pytest.mark.parametrize("hardening", HARDENING_MODES)
-    def test_python_integer_fallback_equals_int64_path(self, hardening,
-                                                       monkeypatch):
-        # past num_hashes * nbits >= 2**63 the positions come from the
-        # oracle's Python integers; force that branch at a small shape
-        config = ClkConfig(nbits=384, num_hashes=9, qgram=3,
-                           hardening=hardening)
-        records = [token_record(i, ["alpha", "bravo", "quebec" * i])
-                   for i in range(4)]
-        fast = ClkEncoder(SALT, config).encode_records(records)
-        monkeypatch.setattr(encoder_module, "_INT64_EXACT", 0)
-        slow = ClkEncoder(SALT, config).encode_records(records)
-        np.testing.assert_array_equal(fast, slow)
 
     def test_empty_batch_and_chunk_boundaries(self, monkeypatch):
         encoder = ClkEncoder(SALT, ClkConfig(nbits=320, num_hashes=7))
