@@ -4,7 +4,7 @@ Three arms, one ``BENCH_pprl.json``:
 
 * **kernel** -- one packed query filter scored against a large synthetic
   catalog.  The vectorized arm is the serving hot path
-  (:func:`repro.privacy.dice_topk`: SWAR popcount, blocked AND into a
+  (:func:`repro.privacy.dice_topk`: hardware popcount, blocked AND into a
   recycled scratch buffer, streaming top-k pool); the naive arm is the
   per-pair pure-Python loop (:func:`naive_dice_scores`, ``bin().count``
   per word), timed on a row subsample and extrapolated to the full
@@ -92,8 +92,8 @@ def run_kernel_arm(n, n_queries, words=16, k=10, naive_rows=1500, seed=0):
     # top-k agreement on the subsample: both arms rank by (-score, row)
     agree = total = 0
     for q in range(n_queries):
-        pool_rows, pool_scores = dice_topk(queries[q], filters, k,
-                                           pops=pops, rows=sub)
+        pool_rows, pool_scores = dice_topk(queries[q], filters[sub], k,
+                                           pops=pops[sub])
         kernel_ids = [row for _, row in sorted(
             zip(-pool_scores, pool_rows.tolist()))][:k]
         naive = naive_dice_scores(queries[q], filters[sub])

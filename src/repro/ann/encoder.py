@@ -12,6 +12,9 @@ Throughput comes from the same machinery the inference engine uses:
   :class:`~repro.infer.cache.EncodingCache` keyed on
   ``EntityRecord.content_key()`` (content-addressed, so replacing a
   catalog record under an old id can never serve a stale vector);
+* token ids come from :meth:`~repro.text.Tokenizer.token_ids`, memoized
+  per vocabulary, so a record already tokenized for a scored pair (or at
+  catalog ingestion) is not tokenized again here;
 * uncached records are length-bucketed with
   :func:`~repro.infer.engine.pack_buckets` under a token budget, then
   forwarded through the raw-numpy :mod:`repro.infer.fastpath` encoder
@@ -117,8 +120,7 @@ class RecordEncoder(BackboneMixin):
         if firsts:
             max_len = min(self.max_len, lm.config.max_len)
             id_lists = [
-                list(tokenizer.encode(serialize(records[i]),
-                                      max_len=max_len).ids)
+                tokenizer.encode(serialize(records[i]), max_len=max_len).ids
                 for i in firsts]
             buckets = pack_buckets([len(ids) for ids in id_lists],
                                    self.token_budget, self.max_batch)
@@ -138,7 +140,7 @@ class RecordEncoder(BackboneMixin):
     def _encode_one(self, record: EntityRecord) -> np.ndarray:
         lm, tokenizer = self._backbone()
         max_len = min(self.max_len, lm.config.max_len)
-        ids = list(tokenizer.encode(serialize(record), max_len=max_len).ids)
+        ids = tokenizer.encode(serialize(record), max_len=max_len).ids
         return self._embed_batch(lm, [ids], tokenizer.vocab.pad_id)[0]
 
     def encode_record(self, record: EntityRecord) -> np.ndarray:

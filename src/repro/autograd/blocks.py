@@ -157,8 +157,11 @@ def gelu_backward(saved, g: np.ndarray) -> np.ndarray:
 
 def softmax(x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
     """Softmax over the last axis, in place on the owned ``x`` (into a
-    fresh array with a ``tape``, which keeps the exponentials and sums)."""
-    x -= x.max(axis=-1, keepdims=True)
+    fresh array with a ``tape``, which keeps the exponentials and sums).
+
+    The row max takes ``initial=-inf``: the same exact values (NaN still
+    propagates) from numpy's cheaper reduction loop."""
+    x -= np.max(x, axis=-1, keepdims=True, initial=-np.inf)
     np.exp(x, out=x)
     total = x.sum(axis=-1, keepdims=True)
     if tape is not None:

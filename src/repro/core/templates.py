@@ -26,6 +26,7 @@ import numpy as np
 from ..autograd import BiLSTM, Linear, Module, Parameter, Sequential, Tensor
 from ..autograd import functional as F
 from ..text import Tokenizer
+from ..text.tokenizer import truncate_longest_first
 
 #: Sentinel id marking a continuous-prompt slot inside a rendered instance.
 PROMPT_PLACEHOLDER = -1
@@ -56,19 +57,11 @@ class Template(ABC):
         self.max_len = max_len
 
     def _entity_ids(self, left: str, right: str, budget: int) -> tuple:
-        """Tokenize both sides and truncate longest-first to ``budget``."""
-        a = self.tokenizer.tokenize(left)
-        b = self.tokenizer.tokenize(right)
-        while len(a) + len(b) > budget:
-            if len(a) >= len(b):
-                a.pop()
-            else:
-                b.pop()
-        vocab = self.tokenizer.vocab
-        return vocab.encode(a), vocab.encode(b)
-
-    def _word_ids(self, text: str) -> List[int]:
-        return self.tokenizer.vocab.encode(self.tokenizer.tokenize(text))
+        """Both sides' ids, truncated longest-first to ``budget``."""
+        a = self.tokenizer.token_ids(left)
+        b = self.tokenizer.token_ids(right)
+        keep_a, keep_b = truncate_longest_first(len(a), len(b), budget)
+        return a[:keep_a], b[:keep_b]
 
     @abstractmethod
     def render(self, left: str, right: str) -> TemplateInstance:
@@ -80,7 +73,7 @@ class HardTemplateT1(Template):
 
     def render(self, left: str, right: str) -> TemplateInstance:
         vocab = self.tokenizer.vocab
-        suffix = self._word_ids("they are")
+        suffix = self.tokenizer.token_ids("they are")
         overhead = 4 + len(suffix) + 1  # CLS + 3 SEP + suffix + MASK
         a, b = self._entity_ids(left, right, self.max_len - overhead)
         ids = [vocab.cls_id, *a, vocab.sep_id, *b, vocab.sep_id,
@@ -93,8 +86,8 @@ class HardTemplateT2(Template):
 
     def render(self, left: str, right: str) -> TemplateInstance:
         vocab = self.tokenizer.vocab
-        is_ids = self._word_ids("is")
-        to_ids = self._word_ids("to")
+        is_ids = self.tokenizer.token_ids("is")
+        to_ids = self.tokenizer.token_ids("to")
         overhead = 2 + len(is_ids) + len(to_ids) + 1
         a, b = self._entity_ids(left, right, self.max_len - overhead)
         ids = [vocab.cls_id, *a, *is_ids, vocab.mask_id, *to_ids, *b, vocab.sep_id]
@@ -159,15 +152,15 @@ class ContinuousTemplate(Template):
         vocab = self.tokenizer.vocab
         k = self.tokens_per_slot
         if self.layout == "t1":
-            suffix = self._word_ids("they are")
+            suffix = self.tokenizer.token_ids("they are")
             overhead = 4 + len(suffix) + 1 + 3 * k
             a, b = self._entity_ids(left, right, self.max_len - overhead)
             ids = [vocab.cls_id, *self._slot(0), *a, vocab.sep_id,
                    *self._slot(1), *b, vocab.sep_id,
                    *self._slot(2), *suffix, vocab.mask_id, vocab.sep_id]
             return TemplateInstance(ids=ids, mask_position=len(ids) - 2)
-        is_ids = self._word_ids("is")
-        to_ids = self._word_ids("to")
+        is_ids = self.tokenizer.token_ids("is")
+        to_ids = self.tokenizer.token_ids("to")
         overhead = 2 + len(is_ids) + len(to_ids) + 1 + 3 * k
         a, b = self._entity_ids(left, right, self.max_len - overhead)
         ids = [vocab.cls_id, *self._slot(0), *a, *is_ids, *self._slot(1),

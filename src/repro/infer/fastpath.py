@@ -108,13 +108,17 @@ def _cached_dup_flags(lm, encodings, ids: np.ndarray) -> np.ndarray:
     """Duplicate-token flags, memoized on each encoding.
 
     Pad tokens are special ids and never count as duplicates, so per-row
-    flags are padding-invariant and safe to cache with the encoding.
+    flags are padding-invariant: one ``duplicate_flags`` pass over the
+    padded rows of every uncached encoding serves them all, and each
+    row's unpadded prefix is safe to cache with its encoding.
     """
+    missing = [i for i, enc in enumerate(encodings) if enc.dup_flags is None]
+    if missing:
+        fresh = lm.duplicate_flags(ids[missing])
+        for row, i in zip(fresh, missing):
+            encodings[i].dup_flags = row[:len(encodings[i].ids)].copy()
     flags = np.zeros_like(ids)
     for i, enc in enumerate(encodings):
-        if enc.dup_flags is None:
-            n = len(enc.ids)
-            enc.dup_flags = lm.duplicate_flags(ids[i:i + 1, :n])[0]
         flags[i, :len(enc.dup_flags)] = enc.dup_flags
     return flags
 

@@ -9,7 +9,7 @@ owner in plaintext:
   as uint64, with ``balance``/``fold`` hardening (the graphMatching
   BFEncoder design, keyed with HMAC so a dictionary-holding adversary
   learns nothing without the salt);
-* :mod:`repro.privacy.kernels` -- vectorized popcount (SWAR bit-twiddling
+* :mod:`repro.privacy.kernels` -- vectorized popcount (``np.bitwise_count``
   + byte-LUT cross-check) and blocked streaming Dice top-k, bit-exact
   against the pure-Python reference;
 * :class:`PrivateBlocker` -- the offline blocking stage over CLKs, same

@@ -198,9 +198,10 @@ class ClkCandidateIndex:
                ) -> List[Tuple[str, float]]:
         """Top-k ``(record_id, dice)`` for a packed query filter.
 
-        Live rows are snapshotted under the lock; the popcount kernels run
-        outside it (array reallocation on growth leaves the snapshot's
-        references valid).  Ties at the k-th score resolve by record id.
+        The live-row mask is snapshotted under the lock; the popcount
+        kernels run outside it over the stored filter matrix in place
+        (array reallocation on growth leaves the snapshot's references
+        valid).  Ties at the k-th score resolve by record id.
         """
         k = self.default_k if k is None else int(k)
         if k < 1:
@@ -213,11 +214,11 @@ class ClkCandidateIndex:
         with self._lock:
             if not self._rows:
                 return []
-            rows = np.flatnonzero(self._live)
+            live = self._live.copy()
             ids = list(self._ids)
             filters, pops = self._filters, self._pops
         pool_rows, pool_scores = dice_topk(clk, filters, k, pops=pops,
-                                           rows=rows)
+                                           live=live)
         found = [(ids[row], float(score))
                  for row, score in zip(pool_rows.tolist(), pool_scores)]
         if self.min_score is not None:

@@ -5,10 +5,10 @@ A CLK (cryptographic long-term key) is a fixed-length Bloom filter packed
 against many stored filters, keep the top-k by Dice"; three things make it
 fast here, mirroring :mod:`repro.ann.kernels`:
 
-* **bit-twiddling popcount** -- per-word population counts come from the
-  branch-free SWAR ladder (mask-add halves, then the ``* 0x0101..`` fold),
-  four vectorized integer ops per word instead of a Python loop over bits.
-  A 256-entry byte-LUT variant (:func:`popcount_bytes`) cross-checks it;
+* **hardware popcount** -- per-word population counts come from
+  ``np.bitwise_count`` (numpy >= 2.0), one vectorized pass that compiles
+  to the CPU's popcount instruction where it has one. A 256-entry
+  byte-LUT variant (:func:`popcount_bytes`) cross-checks it;
 * **fused AND-popcount Dice** -- a query is scored against a *block* of
   packed filters by ANDing into a recycled per-thread scratch buffer,
   popcounting in place, and folding the precomputed per-filter weights
@@ -41,47 +41,33 @@ WORD_BITS = 64
 #: scratch (BLOCK_ROWS x words) stays comfortably inside L2/L3
 BLOCK_ROWS = 8192
 
-# SWAR popcount constants (Hacker's Delight fig. 5-2), one uint64 each
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_S1, _S2, _S4, _S56 = (np.uint64(s) for s in (1, 2, 4, 56))
-
 #: 256-entry byte lookup table -- the classic LUT popcount, kept as an
-#: independent implementation to cross-check the bit-twiddling ladder
+#: independent implementation to cross-check the hardware popcount
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 # ----------------------------------------------------------------------
 # Popcount
 # ----------------------------------------------------------------------
 def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-word population counts via the SWAR bit-twiddling ladder.
+    """Per-word population counts via ``np.bitwise_count``.
 
-    ``words`` is uint64 of any shape; the result is uint64 of the same
-    shape with each element in ``[0, 64]``.  Branch-free and fully
-    vectorized: two masked half-adds, a nibble fold, then the multiply
-    trick that sums the eight byte counts into the top byte.
+    ``words`` is uint64 of any shape; the result is uint8 of the same
+    shape with each element in ``[0, 64]``.
     """
-    x = np.asarray(words, dtype=np.uint64).copy()
-    x -= (x >> _S1) & _M1
-    x = (x & _M2) + ((x >> _S2) & _M2)
-    x = (x + (x >> _S4)) & _M4
-    return (x * _H01) >> _S56
+    return np.bitwise_count(np.asarray(words, dtype=np.uint64))
 
 
 def popcount(packed: np.ndarray) -> np.ndarray:
     """Per-row set-bit counts of packed filters: ``(..., W) -> (...)`` int64."""
-    packed = np.asarray(packed, dtype=np.uint64)
-    return popcount_words(packed).sum(axis=-1).astype(np.int64)
+    return popcount_words(packed).sum(axis=-1, dtype=np.int64)
 
 
 def popcount_bytes(packed: np.ndarray) -> np.ndarray:
     """Per-row counts via the 256-entry byte LUT (cross-check implementation).
 
     Views the packed words as bytes and gathers through :data:`_POPCOUNT8`;
-    independent of the SWAR ladder, used by tests and the benchmark to pin
-    both against the pure-Python reference.
+    independent of ``np.bitwise_count``, used by tests and the benchmark to
+    pin both against the pure-Python reference.
     """
     packed = np.ascontiguousarray(packed, dtype=np.uint64)
     as_bytes = packed.view(np.uint8)
@@ -131,31 +117,35 @@ def dice_scores(query: np.ndarray, filters: np.ndarray,
 
 def dice_topk(query: np.ndarray, filters: np.ndarray, k: int,
               pops: Optional[np.ndarray] = None,
-              rows: Optional[np.ndarray] = None
+              live: Optional[np.ndarray] = None
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Blocked streaming Dice top-k that never holds the full score vector.
 
-    Streams ``filters`` (optionally restricted to ``rows``) through
-    block-sized AND-popcount passes, keeping a running candidate pool of at
-    most ``k`` rows plus ties.  Returns ``(pool_rows, pool_scores)`` --
+    Streams contiguous blocks of ``filters`` (views, never copies) through
+    the AND-popcount pass, keeping a running candidate pool of at most
+    ``k`` rows plus ties. ``live`` (bool, one per row) restricts the
+    result to the rows set in it; the others are scored with their block
+    and dropped before the pool. Returns ``(pool_rows, pool_scores)`` --
     unordered, possibly longer than ``k`` when the k-th score is tied.
     """
     filters = np.asarray(filters, dtype=np.uint64)
     if pops is None:
         pops = popcount(filters)
-    if rows is None:
-        rows = np.arange(filters.shape[0])
-    rows = np.asarray(rows, dtype=np.int64)
     query = np.ascontiguousarray(query, dtype=np.uint64)
     query_pop = int(popcount(query))
     pool_rows = np.empty(0, dtype=np.int64)
     pool_scores = np.empty(0, dtype=np.float64)
-    for start in range(0, len(rows), BLOCK_ROWS):
-        chunk = rows[start:start + BLOCK_ROWS]
-        scores = dice_scores(query, filters[chunk], pops=pops[chunk],
-                             query_pop=query_pop)
+    total = filters.shape[0]
+    for start in range(0, total, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, total)
+        scores = dice_scores(query, filters[start:stop],
+                             pops=pops[start:stop], query_pop=query_pop)
+        rows = np.arange(start, stop)
+        if live is not None:
+            kept = live[start:stop]
+            rows, scores = rows[kept], scores[kept]
         keep = topk_candidates(scores, k)
-        pool_rows = np.concatenate([pool_rows, chunk[keep]])
+        pool_rows = np.concatenate([pool_rows, rows[keep]])
         pool_scores = np.concatenate([pool_scores, scores[keep]])
         if len(pool_rows) > k:
             keep = topk_candidates(pool_scores, k)

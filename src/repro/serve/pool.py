@@ -1086,9 +1086,13 @@ class ServingPool:
         inflight = self._finish(req_id, replica)
         if inflight is None:  # late answer for a re-dispatched request
             return
+        # counted before the pending resolves, like response_count: a
+        # client holding its response never reads a stale /metrics
         self.response_count += 1
         now = time.perf_counter()
         tel = get_telemetry()
+        if tel.enabled:
+            tel.metrics.counter("pool.responses").inc()
         if inflight.trace is not None:
             # stitch the replica-reported stage timings into the parent-
             # side tree BEFORE resolving, so the client's response carries
@@ -1124,7 +1128,6 @@ class ServingPool:
                 tel.event("serve.drift", **event)
             tel.metrics.gauge("serve.drift.active").set(
                 1.0 if self._drift.active else 0.0)
-            tel.metrics.counter("pool.responses").inc()
             tel.metrics.quantiles("pool.request_seconds").observe(
                 now - inflight.arrived)
 

@@ -765,8 +765,11 @@ class MatchServer:
                                     else int(probs[row, 1] > cut))
         cpu_share = forward_cpu / len(batch) if tracing else 0.0
         # counted before any pending resolves: a client holding its
-        # response never reads a stale stats()["responses"]
+        # response never reads a stale stats()["responses"] or /metrics
         self.response_count += len(batch)
+        if tel.enabled:
+            tel.metrics.counter("serve.responses").inc(len(batch))
+            tel.metrics.counter("serve.batches").inc()
         for row, request in enumerate(batch):
             trace_payload = None
             if tracing:
@@ -809,8 +812,6 @@ class MatchServer:
                                    "pairs": pairs, "tenants": tenants})
         if tel.enabled:
             metrics = tel.metrics
-            metrics.counter("serve.responses").inc(len(batch))
-            metrics.counter("serve.batches").inc()
             metrics.histogram("serve.batch_size").observe(len(batch))
             metrics.timer("serve.batch_seconds").observe(served - formed)
             quantiles = metrics.quantiles("serve.request_seconds")

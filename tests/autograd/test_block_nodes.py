@@ -22,6 +22,7 @@ from repro.autograd import (
     BiLSTM, Dropout, DropoutPlan, Tensor, TransformerEncoder, dropout_plan,
     functional as F, gather_rows, layers, no_grad, set_default_dtype,
 )
+from repro.autograd import blocks
 from repro.baselines.deepmatcher import DeepMatcher, _DeepMatcherNet
 from repro.core import PromptEM, PromptEMConfig, PromptModel, Verbalizer, make_template
 from repro.core.peft import apply_peft
@@ -273,3 +274,29 @@ def test_short_fit_lands_on_identical_probabilities(monkeypatch):
     (weights, probs), (ref_weights, ref_probs) = runs
     assert all(np.array_equal(a, b) for a, b in zip(weights, ref_weights))
     assert np.array_equal(probs, ref_probs)
+
+
+def test_softmax_special_rows_equal_the_graph(dtype):
+    """Rows of all -inf, rows holding a NaN and rows of signed zeros give
+    the same bits as the graph's ``F.softmax``, forward and backward."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 7, 5)).astype(dtype)
+    x[0, 0] = -np.inf
+    x[0, 1, 2] = np.nan
+    x[0, 2] = [0.0, -0.0, 0.0, -0.0, -0.0]
+    x[0, 3] = [-0.0, 0.0, -0.0, -0.0, 0.0]
+    x[0, 4, 1:3] = [np.inf, -np.inf]
+    x[1, 0, :2] = [-0.0, 0.0]
+    grad = rng.standard_normal(x.shape).astype(dtype)
+
+    with np.errstate(invalid="ignore"):  # -inf - -inf is NaN on purpose
+        leaf = Tensor(x.copy(), requires_grad=True)
+        probs = F.softmax(leaf, axis=-1)
+        probs.backward(grad)
+        plain = blocks.softmax(x.copy())
+        tape = []
+        taped = blocks.softmax(x.copy(), tape)
+        grad_in = blocks.softmax_backward(tape[0], grad)
+    assert plain.tobytes() == probs.data.tobytes()
+    assert taped.tobytes() == probs.data.tobytes()
+    assert grad_in.tobytes() == leaf.grad.tobytes()

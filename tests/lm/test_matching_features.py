@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import MultiHeadAttention, Tensor
+from repro.infer import PairEncoding
+from repro.infer.fastpath import _cached_dup_flags
 from repro.lm import LMConfig, MiniLM
+from repro.lm.model import pad_batch
 
 from .reference_flags import duplicate_flags as reference_flags
 
@@ -54,6 +57,26 @@ class TestDuplicateFlags:
         ids[1:, -7:] = 0  # padded rows
         np.testing.assert_array_equal(MiniLM.duplicate_flags(ids),
                                       reference_flags(ids))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(2, 30), min_size=1,
+                                  max_size=12), min_size=1, max_size=6),
+           cached=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_batch_memo_equals_per_row_reference(self, rows, cached):
+        # the fast path flags every uncached row of a padded, mixed-length
+        # batch in one pass; each encoding keeps its unpadded prefix
+        encodings = [PairEncoding(ids=row) for row in rows]
+        for enc, warm in zip(encodings, cached):
+            if warm:  # memoized by an earlier batch, on its own
+                enc.dup_flags = reference_flags(enc.ids[None, :])[0]
+        ids, _ = pad_batch([enc.ids.tolist() for enc in encodings], pad_id=0)
+        flags = _cached_dup_flags(MiniLM, encodings, ids)
+        assert flags.shape == ids.shape
+        for i, enc in enumerate(encodings):
+            want = reference_flags(enc.ids[None, :])[0]
+            np.testing.assert_array_equal(enc.dup_flags, want)
+            np.testing.assert_array_equal(flags[i, :len(want)], want)
+            assert not flags[i, len(want):].any()
 
     @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
     def test_empty_shapes(self, shape):

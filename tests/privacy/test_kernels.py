@@ -1,10 +1,10 @@
 """Kernel property tests: packed popcount/Dice must agree EXACTLY with
 the pure-Python ``bin().count("1")`` reference -- not approximately.
 
-The SWAR ladder, the byte-LUT cross-check, and the reference are three
-independent implementations; equality across all three on arbitrary
-bitsets (random, empty, all-ones, mismatched cardinalities) pins the bit
-twiddling.  Dice agreement is asserted with ``==`` on float64: the
+``np.bitwise_count``, the byte-LUT cross-check, and the reference are
+three independent implementations; equality across all three on arbitrary
+bitsets (random, empty, all-ones, mismatched cardinalities) pins the
+kernel.  Dice agreement is asserted with ``==`` on float64: the
 vectorized kernel and :func:`dice_reference` perform the same IEEE
 operations in the same order, so any drift is a real kernel change.
 """
@@ -153,6 +153,23 @@ class TestTopK:
         rng = np.random.default_rng(4)
         filters = rng.integers(0, 2 ** 64, size=(40, 2), dtype=np.uint64)
         sub = np.array([1, 5, 7, 30])
-        pool_rows, _ = dice_topk(filters[5], filters, 40, rows=sub)
+        live = np.zeros(40, dtype=bool)
+        live[sub] = True
+        pool_rows, _ = dice_topk(filters[5], filters, 40, live=live)
         assert set(pool_rows.tolist()) <= set(sub.tolist())
         assert 5 in pool_rows.tolist()
+
+    def test_live_mask_across_blocks_equals_full_ranking(self):
+        # the mask drops rows after each block is scored in place; the
+        # result must equal ranking only the live rows
+        rng = np.random.default_rng(5)
+        n = BLOCK_ROWS + 513
+        filters = rng.integers(0, 2 ** 64, size=(n, 2), dtype=np.uint64)
+        live = rng.random(n) < 0.6
+        q = rng.integers(0, 2 ** 64, size=2, dtype=np.uint64)
+        pool_rows, pool_scores = dice_topk(q, filters, 9, live=live)
+        got = sorted(zip(-pool_scores, pool_rows.tolist()))[:9]
+        full = dice_scores(q, filters)
+        expected = sorted((-full[row], row)
+                          for row in np.flatnonzero(live).tolist())[:9]
+        assert got == expected
