@@ -447,16 +447,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             clk_words=clk_words, clk_encoder=clk_encoder,
             clk_threshold=args.clk_threshold,
             slo=slo, drift=drift)
-        if args.catalog:
-            added = server.catalog_add(_load_catalog(args.catalog))
-            print(f"indexed {added} catalog records from {args.catalog} "
-                  f"across {server.config.shards} shards", file=sys.stderr)
-        if clk_catalog is not None:
-            added = server.catalog_add_clk(clk_catalog.entries())
-            print(f"seeded {added} clk filters from {args.clk_catalog} "
-                  f"across {server.config.shards} shards", file=sys.stderr)
+        where = f" across {server.config.shards} shards"
     else:
-        index = ServingIndex(default_k=args.top_k)
         dense_index = None
         if encoder is not None:
             dense_index = DenseCandidateIndex(
@@ -469,26 +461,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             clk_index = ClkCandidateIndex(words=clk_words,
                                           encoder=clk_encoder,
                                           default_k=args.top_k)
-            if clk_catalog is not None:
-                seeded = clk_index.add_clk_many(clk_catalog.entries())
-                print(f"seeded {seeded} clk filters from "
-                      f"{args.clk_catalog}", file=sys.stderr)
-        if args.catalog:
-            records = _load_catalog(args.catalog)
-            added = index.add_many(records)
-            if dense_index is not None:
-                dense_index.add_many(records)
-                dense_index.train()
-            if clk_index is not None and clk_index.encoder is not None:
-                clk_index.add_many(records)
-            print(f"indexed {added} catalog records from {args.catalog}",
-                  file=sys.stderr)
-        server = MatchServer(bundle, config, index=index,
+        server = MatchServer(bundle, config,
+                             index=ServingIndex(default_k=args.top_k),
                              dense_index=dense_index,
                              clk_index=clk_index,
                              clk_threshold=args.clk_threshold,
                              candidate_mode=args.blocker,
                              tenants=tenants, slo=slo, drift=drift)
+        where = ""
+    # one seeding path for both topologies: filters, then plaintext (a
+    # salted server re-encodes a record's filter from its plaintext)
+    if clk_catalog is not None:
+        added = server.catalog_add_clk(clk_catalog.entries())
+        print(f"seeded {added} clk filters from {args.clk_catalog}{where}",
+              file=sys.stderr)
+    if args.catalog:
+        added = server.catalog_add(_load_catalog(args.catalog))
+        if args.replicas == 0 and server.dense_index is not None:
+            server.dense_index.train()  # a pool's replicas train at start
+        print(f"indexed {added} catalog records from {args.catalog}{where}",
+              file=sys.stderr)
 
     stop_event = threading.Event()
 

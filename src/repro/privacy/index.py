@@ -40,6 +40,16 @@ from .kernels import dice_topk, popcount
 _INITIAL_CAPACITY = 64
 
 
+def packed_filter(clk, words: int) -> np.ndarray:
+    """``clk`` as a contiguous ``(words,)`` uint64 filter; ValueError on
+    any other shape."""
+    clk = np.ascontiguousarray(clk, dtype=np.uint64)
+    if clk.shape != (words,):
+        raise ValueError(
+            f"expected a ({words},) packed filter, got shape {clk.shape}")
+    return clk
+
+
 class ClkCandidateIndex:
     """CLK-based candidate catalog with incremental maintenance."""
 
@@ -120,11 +130,7 @@ class ClkCandidateIndex:
                 record: Optional[EntityRecord] = None) -> bool:
         """Insert a pre-encoded filter; ``False`` when it replaced an
         earlier filter for the same id (mutated-record re-add)."""
-        clk = np.ascontiguousarray(clk, dtype=np.uint64)
-        if clk.shape != (self.words,):
-            raise ValueError(
-                f"expected a ({self.words},) packed filter, "
-                f"got shape {clk.shape}")
+        clk = packed_filter(clk, self.words)
         pop = int(popcount(clk))
         with self._lock:
             row = self._rows.get(record_id)
@@ -147,7 +153,10 @@ class ClkCandidateIndex:
         return fresh
 
     def add_clk_many(self, entries: Iterable[Tuple[str, np.ndarray]]) -> int:
-        """Bulk filter insert; returns the number of *new* ids."""
+        """Bulk filter insert, all or nothing (every shape is checked
+        first); returns the number of *new* ids."""
+        entries = [(record_id, packed_filter(clk, self.words))
+                   for record_id, clk in entries]
         fresh = 0
         for record_id, clk in entries:
             if self.add_clk(record_id, clk):
@@ -206,11 +215,7 @@ class ClkCandidateIndex:
         k = self.default_k if k is None else int(k)
         if k < 1:
             raise ValueError("k must be >= 1")
-        clk = np.ascontiguousarray(clk, dtype=np.uint64)
-        if clk.shape != (self.words,):
-            raise ValueError(
-                f"expected a ({self.words},) packed filter, "
-                f"got shape {clk.shape}")
+        clk = packed_filter(clk, self.words)
         with self._lock:
             if not self._rows:
                 return []

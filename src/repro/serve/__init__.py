@@ -24,7 +24,8 @@ service (the deployment form real EM systems take):
   replica -- and the serial in-process fallback -- is a
   :class:`MatchServer` over the shards it owns;
 * :mod:`repro.serve.http` -- a stdlib HTTP front end plus a socket-free
-  JSONL request driver; both drive a server or a pool interchangeably.
+  JSONL request driver; both drive any :class:`ServingFront` -- the
+  surface a server and a pool share by construction.
 
 The privacy-preserving path (``candidate_mode="clk"``) plugs a
 :class:`repro.privacy.ClkCandidateIndex` into the same surfaces: catalog
@@ -44,7 +45,7 @@ from .index import ServingIndex
 from .server import (
     ClkCandidate, ClkMatchResponse, MatchCandidate, MatchResponse,
     MatchServer, Overloaded, PendingMatch, PendingResponse, ScoreResponse,
-    ServerConfig,
+    ServerConfig, ServingFront,
 )
 from .shard import (
     ShardedDenseCandidateIndex, ShardedIndex, ShardedServingIndex,
@@ -59,7 +60,7 @@ __all__ = [
     "ServingIndex", "DenseCandidateIndex",
     "ShardedIndex", "ShardedServingIndex", "ShardedDenseCandidateIndex",
     "shard_of", "merge_topk",
-    "MatchServer", "ServerConfig", "Overloaded",
+    "ServingFront", "MatchServer", "ServerConfig", "Overloaded",
     "ServingPool", "PoolConfig", "SharedBundleWeights",
     "ScoreResponse", "MatchResponse", "MatchCandidate",
     "ClkMatchResponse", "ClkCandidate",

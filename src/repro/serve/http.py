@@ -40,11 +40,11 @@ Two transports over one JSON protocol:
   - ``GET /slo`` -- per-tenant SLO compliance, drift-monitor state and
     request-trace aggregates (gated like ``/admin/*``)
 
-Both transports take a :class:`~repro.serve.server.MatchServer` or a
-:class:`~repro.serve.pool.ServingPool`: the two expose the same
-submit/score/admin surface and the same ``health`` / ``metrics_snapshot``
-/ ``slo_snapshot`` observability methods, so ``repro serve --replicas N``
-swaps the pool in without touching this module's request path.
+Both transports take any :class:`~repro.serve.server.ServingFront` -- a
+:class:`~repro.serve.server.MatchServer` or a
+:class:`~repro.serve.pool.ServingPool`, which share that surface by
+construction -- so ``repro serve --replicas N`` swaps the pool in without
+touching this module's request path.
 
 Records use the dataset-bundle JSON shape (``{"id", "kind", "values"}``).
 A shed request answers ``503 {"status": "overloaded"}`` -- explicit
@@ -66,7 +66,7 @@ import json
 import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Iterable, Iterator, List, Optional, Tuple
 
 from ..data.dataset import CandidatePair
 from ..data.io import _record_from_dict, _record_to_dict
@@ -74,7 +74,7 @@ from ..obs import get_telemetry
 from ..privacy.encoder import clk_from_bytes
 from .bundle import ModelBundle
 from .server import (
-    ClkMatchResponse, MatchResponse, MatchServer, Overloaded, ScoreResponse,
+    ClkMatchResponse, MatchResponse, Overloaded, ScoreResponse, ServingFront,
 )
 
 
@@ -146,7 +146,7 @@ def overloaded_to_dict(error: Overloaded) -> dict:
             "queue_depth": error.queue_depth}
 
 
-def handle_request(server: MatchServer, request: dict,
+def handle_request(server: ServingFront, request: dict,
                    timeout: Optional[float] = 30.0) -> dict:
     """Dispatch one request dict; returns a response dict (including the
     explicit ``overloaded`` response when admission sheds)."""
@@ -180,7 +180,7 @@ def handle_request(server: MatchServer, request: dict,
         return overloaded_to_dict(error)
 
 
-def serve_requests(server: MatchServer, requests: Iterable[dict],
+def serve_requests(server: ServingFront, requests: Iterable[dict],
                    timeout: Optional[float] = 30.0,
                    window: Optional[int] = None) -> Iterator[dict]:
     """Pipelined batch driver: yield one response dict per request dict,
@@ -194,21 +194,13 @@ def serve_requests(server: MatchServer, requests: Iterable[dict],
     semantics; only a stopped server yields ``overloaded`` responses.
     """
     if window is None:
-        # a MatchServer's config carries max_batch_pairs directly; a
-        # ServingPool nests it under config.server
-        config = server.config
-        window = getattr(config, "max_batch_pairs", None)
-        if window is None:
-            window = config.server.max_batch_pairs
+        window = server.server_config.max_batch_pairs
     window = max(1, int(window))
     pending: Deque[Tuple[str, object]] = deque()
 
     def collect() -> dict:
         kind, item = pending.popleft()
-        if not server.is_running:
-            while not item.done():
-                if not server.process_once():
-                    break
+        server._drive(item)
         try:
             if kind == "score":
                 return score_response_to_dict(item.result(timeout))
@@ -279,7 +271,7 @@ _LOOPBACK = ("127.0.0.1", "::1", "::ffff:127.0.0.1")
 
 class _Handler(BaseHTTPRequestHandler):
     # set by MatchHTTPServer
-    match_server: MatchServer = None
+    match_server: ServingFront = None
     request_timeout: float = 30.0
     admin_token: Optional[str] = None
 
@@ -405,7 +397,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class MatchHTTPServer:
-    """HTTP wrapper owning a :class:`MatchServer` scheduler thread.
+    """HTTP wrapper owning a :class:`ServingFront`'s scheduler.
 
     ``admin_token`` gates the mutating ``/admin/*`` routes: when set,
     every admin call must carry it in ``X-Admin-Token``; when ``None``
@@ -414,7 +406,7 @@ class MatchHTTPServer:
     edits without an explicit token.
     """
 
-    def __init__(self, server: MatchServer, host: str = "127.0.0.1",
+    def __init__(self, server: ServingFront, host: str = "127.0.0.1",
                  port: int = 0, request_timeout: float = 30.0,
                  admin_token: Optional[str] = None) -> None:
         self.match_server = server

@@ -70,6 +70,7 @@ import ctypes
 import dataclasses
 import itertools
 import multiprocessing as mp
+import pickle
 import queue
 import threading
 import time
@@ -88,11 +89,12 @@ from ..obs.serving import (
     DriftMonitor, RequestTracer, SloTracker, TraceContext, stitch_trace,
 )
 from ..parallel.pool import fork_available
+from ..privacy.index import packed_filter
 from .bundle import ModelBundle
 from .index import ServingIndex
 from .server import (
-    MatchServer, Overloaded, PendingMatch, PendingResponse, ScoreResponse,
-    ServerConfig, clk_response,
+    INDEX_ARGS, MatchServer, Overloaded, PendingResponse, ScoreResponse,
+    ServerConfig, ServingFront, _Request,
 )
 from .shard import ShardedIndex, merge_topk, shard_of
 from .weights import SharedBundleWeights
@@ -103,8 +105,24 @@ _CALLS = frozenset({
     "clk_candidates", "set_candidate_mode", "stats", "batch_log",
     "metrics_snapshot"})
 
-#: candidate mode -> the MatchServer argument that holds its index
-_INDEX_ARGS = {"sparse": "index", "dense": "dense_index", "clk": "clk_index"}
+#: how long a scatter/gather waits for candidates, stats and acks
+_GATHER_TIMEOUT_S = 10.0
+#: how long stop(drain=True) waits for in-flight work by default
+_DRAIN_TIMEOUT_S = 30.0
+#: how often a replica pushes its metrics snapshot to the router while
+#: telemetry is on (the router can also pull, and the stop ack carries
+#: the final snapshot)
+_METRICS_INTERVAL_S = 2.0
+
+
+def _portable(error: BaseException) -> BaseException:
+    """``error`` itself when it survives a pickle round trip, so the
+    router re-raises its type; else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(error))
+        return error
+    except Exception:
+        return RuntimeError(f"{type(error).__name__}: {error}")
 
 
 def _invoke(server: MatchServer, method: str, args: tuple):
@@ -131,25 +149,14 @@ class PoolConfig:
     #: per-replica bounded queue: dispatch never puts more than this many
     #: outstanding pairs on one replica (re-dispatch after a death may)
     max_outstanding: int = 64
-    #: scatter/gather wait for candidates / stats / acks
-    gather_timeout_s: float = 10.0
-    #: how long a publish may wait for a slow replica to vacate a slot
-    guard_timeout_s: float = 5.0
     #: respawn dead replicas (the fault-containment loop)
     respawn: bool = True
-    #: stop(drain=True) waits this long for in-flight work to finish
-    drain_timeout_s: float = 30.0
     #: directory of per-tenant DeltaBundles; every replica builds its own
     #: TenantRegistry over it (deltas are KBs -- loading them per replica
     #: is cheap; only the backbone weights are shared via shm)
     tenants_dir: Optional[str] = None
     #: per-replica LRU capacity for resident tenant deltas
     tenant_capacity: int = 64
-    #: how often (seconds) a replica pushes its metrics snapshot to the
-    #: router when telemetry is enabled; <= 0 disables periodic pushes
-    #: (the router can still pull, and the stop ack carries the final
-    #: snapshot either way)
-    metrics_interval_s: float = 2.0
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -205,21 +212,11 @@ class _ReplyGather:
         return self.replies
 
 
-class _Inflight:
-    __slots__ = ("pending", "pair", "replica", "tokens", "arrived", "tenant",
-                 "trace")
+class _Inflight(_Request):
+    """An admitted request as the router tracks it: which replica holds
+    it, and its token estimate on that replica's queue."""
 
-    def __init__(self, pending: PendingResponse, pair: CandidatePair,
-                 replica: int, tokens: int, arrived: float,
-                 tenant: Optional[str] = None,
-                 trace: Optional[TraceContext] = None) -> None:
-        self.pending = pending
-        self.pair = pair
-        self.replica = replica
-        self.tokens = tokens
-        self.arrived = arrived
-        self.tenant = tenant
-        self.trace = trace
+    __slots__ = ("replica", "tokens")
 
 
 class _Replica:
@@ -422,7 +419,7 @@ def _replica_main(conn, replica: int, pool: "ServingPool") -> None:
             try:
                 response = pending.result(timeout=None)
             except BaseException as error:
-                send(("error", req_id, f"{type(error).__name__}: {error}"))
+                send(("error", req_id, _portable(error)))
             else:
                 send(("response", req_id, response.probs,
                       response.prediction, response.model_version,
@@ -437,10 +434,9 @@ def _replica_main(conn, replica: int, pool: "ServingPool") -> None:
     server.start()
 
     push_halt = threading.Event()
-    if child_tel is not None and config.metrics_interval_s > 0:
+    if child_tel is not None:
         def push_metrics() -> None:
-            interval = max(config.metrics_interval_s, 0.05)
-            while not push_halt.wait(interval):
+            while not push_halt.wait(_METRICS_INTERVAL_S):
                 send(("metrics_push", replica, server.metrics_snapshot()))
 
         threading.Thread(target=push_metrics, name="repro-pool-metrics",
@@ -457,19 +453,16 @@ def _replica_main(conn, replica: int, pool: "ServingPool") -> None:
                 _, req_id, pair, tenant = message
                 try:
                     pending = server.submit(pair, tenant=tenant)
-                except Overloaded as error:
-                    send(("error", req_id, f"Overloaded: {error}"))
                 except Exception as error:  # e.g. UnknownTenant on races
-                    send(("error", req_id,
-                          f"{type(error).__name__}: {error}"))
+                    send(("error", req_id, _portable(error)))
                 else:
                     results.put((req_id, pending))
             elif kind == "call":
                 _, qid, method, args = message
                 try:
                     result = _invoke(server, method, args)
-                except Exception as error:
-                    result = RuntimeError(f"{type(error).__name__}: {error}")
+                except Exception as error:  # the router re-raises it
+                    result = _portable(error)
                 send(("reply", qid, result))
             elif kind == "stop":
                 _, qid, drain = message
@@ -494,21 +487,21 @@ def _replica_main(conn, replica: int, pool: "ServingPool") -> None:
 # ----------------------------------------------------------------------
 # Router / pool
 # ----------------------------------------------------------------------
-class ServingPool:
+class ServingPool(ServingFront):
     """Replicated, sharded serving over one shared-memory weight map.
 
-    API-compatible with :class:`MatchServer` where the front ends touch
-    it: ``submit`` / ``submit_match`` / ``score`` / ``score_batch`` /
-    ``match`` / ``swap`` / ``catalog_add`` / ``catalog_remove`` /
-    ``set_candidate_mode`` / ``stats`` / ``version`` / ``stop`` -- the
-    HTTP and JSONL transports drive either interchangeably.
+    A :class:`~repro.serve.server.ServingFront` like :class:`MatchServer`:
+    the public surface is shared by construction, so the HTTP and JSONL
+    transports drive either interchangeably. This class adds the
+    topology: least-outstanding dispatch, scatter/merge candidate
+    search, journaled catalog writes, swap by shared-memory publish.
     """
+
+    _scope = "pool"
 
     def __init__(self, bundle: ModelBundle,
                  config: Optional[PoolConfig] = None,
                  encoder=None, dense_kind: str = "ivf", dense_seed: int = 0,
-                 dense_kwargs: Optional[dict] = None,
-                 dense_train: bool = True,
                  clk_words: Optional[int] = None,
                  clk_encoder=None,
                  clk_threshold: float = 0.8,
@@ -516,9 +509,23 @@ class ServingPool:
                  slo: Optional[SloTracker] = None,
                  drift: Optional[DriftMonitor] = None) -> None:
         self.config = config if config is not None else PoolConfig()
+        # the router sees every admission, response, shed and error, so
+        # pool-level SLO/drift tracking lives here (replicas run
+        # monitor=False). Its tenant registry only validates tenant ids at
+        # admission in forked mode (paths, no model); the serial fallback
+        # hands trackers, tracer and registry to its in-process server
+        tenants = None
+        if self.config.tenants_dir is not None:
+            from .tenants import TenantRegistry
+
+            tenants = TenantRegistry(capacity=self.config.tenant_capacity,
+                                     tenants_dir=self.config.tenants_dir)
+        super().__init__(tenants, clk_threshold,
+                         slo if slo is not None else SloTracker(),
+                         drift if drift is not None else DriftMonitor())
+        self.request_tracer = RequestTracer()
         self._bundle = bundle
         self._encoder = encoder
-        self._dense_train = dense_train
         #: CLK (PPRL) serving: ``clk_encoder`` enables the single-party
         #: shape (the router encodes its own plaintext catalog adds);
         #: ``clk_words`` alone enables cross-party mode, where the pool
@@ -532,7 +539,7 @@ class ServingPool:
                     f"clk_words={clk_words} conflicts with clk_encoder "
                     f"({clk_inferred} words)")
             clk_words = clk_inferred
-        self.clk_threshold = clk_threshold
+        self._clk_words = clk_words
         #: candidate mode -> factory of one shard of that mode's index;
         #: every executor shards its indexes over these
         k = self.config.server.default_top_k
@@ -540,10 +547,8 @@ class ServingPool:
         if encoder is not None:
             from .dense import DenseCandidateIndex
 
-            dense_kwargs = dict(dense_kwargs or {})
             self._shard_makers["dense"] = lambda: DenseCandidateIndex(
-                encoder, kind=dense_kind, default_k=k, seed=dense_seed,
-                **dense_kwargs)
+                encoder, kind=dense_kind, default_k=k, seed=dense_seed)
         if clk_words is not None:
             from ..privacy import ClkCandidateIndex
 
@@ -554,17 +559,6 @@ class ServingPool:
                        for mode, make in self._shard_makers.items()}
         self._check_mode(candidate_mode)
         self._candidate_mode = candidate_mode
-
-        # router-side tenant registry: in forked mode it only validates
-        # tenant ids at admission (paths, no model); the serial fallback
-        # hands it whole to its in-process MatchServer
-        self._tenants = None
-        if self.config.tenants_dir is not None:
-            from .tenants import TenantRegistry
-
-            self._tenants = TenantRegistry(
-                capacity=self.config.tenant_capacity,
-                tenants_dir=self.config.tenants_dir)
 
         #: per-shard journal of raw records: the source every executor
         #: builds its shards from at start and on respawn (the postings/ANN
@@ -598,21 +592,10 @@ class ServingPool:
         self._stopping = False      # suppresses respawn/redispatch
         self._collector_halt = False  # router thread exit flag
         self._swap_lock = threading.Lock()
-
-        self.request_count = 0
-        self.response_count = 0
-        self.shed_count = 0
         self.redispatch_count = 0
         self.respawn_count = 0
         self.death_count = 0
 
-        # router-owned observability: the router sees every admission,
-        # response, shed and error, so pool-level SLO/drift tracking lives
-        # here (replicas run monitor=False); the serial fallback hands
-        # these same objects -- and the tracer -- to its in-process server
-        self._slo = slo if slo is not None else SloTracker()
-        self._drift = drift if drift is not None else DriftMonitor()
-        self.request_tracer = RequestTracer()
         #: label -> most recent metrics snapshot shipped by that replica
         self._replica_metrics: Dict[str, dict] = {}
         self._metrics_lock = threading.Lock()
@@ -623,6 +606,10 @@ class ServingPool:
     @property
     def is_running(self) -> bool:
         return self._started and not self._closed
+
+    @property
+    def server_config(self) -> ServerConfig:
+        return self.config.server
 
     @property
     def serial(self) -> bool:
@@ -637,9 +624,8 @@ class ServingPool:
         self._collector_halt = False
         self._version = 1
         if fork_available():
-            store = SharedBundleWeights(
-                self._bundle.model, replicas=self.config.replicas,
-                guard_timeout_s=self.config.guard_timeout_s)
+            store = SharedBundleWeights(self._bundle.model,
+                                        replicas=self.config.replicas)
             if store.is_shared:
                 self._store = store
                 self._store.publish(self._bundle.model, self._bundle.name,
@@ -653,7 +639,7 @@ class ServingPool:
             with self._catalog_lock:
                 self._server = self._build_server(
                     0, MatchServer, config=self.config.server,
-                    tenants=self._tenants, slo=self._slo, drift=self._drift)
+                    tenants=self.tenants, slo=self.slo, drift=self.drift)
             self._server.request_tracer = self.request_tracer
             self._server.start()
         else:
@@ -681,13 +667,12 @@ class ServingPool:
         indexes["sparse"].add_many(records)
         if "dense" in indexes:
             indexes["dense"].add_many(records)
-            if self._dense_train:
-                indexes["dense"].train()
+            indexes["dense"].train()
         if "clk" in indexes:
             indexes["clk"].add_clk_many(
                 entry for shard in owned
                 for entry in self._clk_catalog[shard].items())
-        kwargs.update({_INDEX_ARGS[mode]: index
+        kwargs.update({INDEX_ARGS[mode]: index
                        for mode, index in indexes.items()})
         return make(self._bundle, clk_threshold=self.clk_threshold,
                     candidate_mode=self._candidate_mode, **kwargs)
@@ -705,20 +690,14 @@ class ServingPool:
         child_conn.close()
         return _Replica(index, proc, parent_conn)
 
-    def __enter__(self) -> "ServingPool":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
+    def stop(self, drain: bool = True,
+             timeout: float = _DRAIN_TIMEOUT_S) -> None:
         """Pool-wide graceful stop: close admission, finish (or fail) the
         in-flight work, stop every replica with the same ``drain``
         semantics, reap the processes and release the shared segments."""
         if not self._started:
             self._closed = True
             return
-        timeout = self.config.drain_timeout_s if timeout is None else timeout
         with self._lock:
             self._closed = True
         if self._serial:
@@ -810,26 +789,10 @@ class ServingPool:
                 best = (key, replica)
         return best[1] if best is not None else None
 
-    def submit(self, pair: CandidatePair,
-               tenant: Optional[str] = None) -> PendingResponse:
-        """Queue one score request on the least-loaded replica; raises
-        :class:`Overloaded` when the pool (or every replica queue) is
-        full."""
-        return self._submit_many([pair], tenant=tenant)[0]
-
     def _submit_many(self, pairs: Sequence[CandidatePair],
                      tenant: Optional[str] = None) -> List[PendingResponse]:
-        """All-or-nothing admission of a request group (a match query's
-        candidate fan-out is one group, like the single server's)."""
-        if tenant is not None:
-            # validate at the router: an unknown tenant must fail fast in
-            # the caller, not surface as an opaque error reply from a
-            # replica (forked replicas hold their own registries)
-            registry = self._tenants
-            if registry is None or not registry.has(tenant):
-                from .tenants import UnknownTenant
-
-                raise UnknownTenant(tenant)
+        """All-or-nothing admission of a request group on the least-loaded
+        replicas (a match query's candidate fan-out is one group)."""
         if self._serial:
             return self._server._submit_many(pairs, tenant=tenant)
         started = time.perf_counter()
@@ -841,15 +804,11 @@ class ServingPool:
             if self._closed or not self._started:
                 raise Overloaded("pool is stopped",
                                  queue_depth=len(self._inflight))
-            if len(self._inflight) + len(pairs) > self.config.server.max_queue:
-                self.shed_count += 1
-                self._slo.observe_shed(tenant, len(pairs))
-                if tel.enabled:
-                    tel.metrics.counter("pool.shed").inc()
-                raise Overloaded(
-                    f"pool queue full ({len(self._inflight)}"
-                    f"/{self.config.server.max_queue})",
-                    queue_depth=len(self._inflight))
+            depth = len(self._inflight)
+            if depth + len(pairs) > self.config.server.max_queue:
+                raise self._shed(tenant, len(pairs), "pool queue full "
+                                 f"({depth}/{self.config.server.max_queue})",
+                                 depth)
             staged: List[Tuple[_Replica, int]] = []
             for pair in pairs:
                 replica = self._pick_replica()
@@ -857,12 +816,8 @@ class ServingPool:
                     for staged_replica, tokens in staged:  # roll back
                         staged_replica.outstanding_pairs -= 1
                         staged_replica.outstanding_tokens -= tokens
-                    self.shed_count += 1
-                    self._slo.observe_shed(tenant, len(pairs))
-                    if tel.enabled:
-                        tel.metrics.counter("pool.shed").inc()
-                    raise Overloaded("every replica queue is full",
-                                     queue_depth=len(self._inflight))
+                    raise self._shed(tenant, len(pairs),
+                                     "every replica queue is full", depth)
                 tokens = _approx_tokens(pair)
                 replica.outstanding_pairs += 1
                 replica.outstanding_tokens += tokens
@@ -878,10 +833,10 @@ class ServingPool:
                     # forget), so pipe transit lands in the respond span
                     ctx = TraceContext.admit(tenant, now=started)
                     ctx.dispatched(replica.index, now=arrived)
-                self._inflight[req_id] = _Inflight(pending, pair,
-                                                   replica.index, tokens,
-                                                   arrived, tenant=tenant,
-                                                   trace=ctx)
+                inflight = _Inflight(pair, pending, arrived, tenant=tenant,
+                                     trace=ctx)
+                inflight.replica, inflight.tokens = replica.index, tokens
+                self._inflight[req_id] = inflight
                 pendings.append(pending)
                 assignments.append((req_id, replica))
             self.request_count += len(pairs)
@@ -906,12 +861,10 @@ class ServingPool:
                 f"pool.replica{replica.index}.outstanding").set(
                     replica.outstanding_pairs)
 
-    def submit_match(self, record: EntityRecord,
-                     k: Optional[int] = None,
-                     tenant: Optional[str] = None) -> PendingMatch:
-        """Scatter the candidate query across every executor's shards,
-        merge the per-shard top-k, then admit one score request per
-        candidate (atomically, like the single server)."""
+    def candidates(self, record: EntityRecord, k: Optional[int] = None
+                   ) -> List[Tuple[EntityRecord, float]]:
+        """Scatter the candidate query to every executor that owns a
+        shard and merge the per-shard top-k lists."""
         if self._candidate_mode == "clk":
             # the pool-level privacy pin: in CLK mode no plaintext record
             # may enter the serving path, in serial and forked mode alike
@@ -923,34 +876,20 @@ class ServingPool:
         if self._candidate_mode == "dense":
             # embed once in the router; every shard re-ranks this vector
             vector = self._encoder.encode_record(record)
-        candidates = merge_topk(
+        return merge_topk(
             self._query("candidates", (record, k, vector)).values(), k)
-        if not candidates:
-            return PendingMatch(record.record_id, [])
-        pairs = [CandidatePair(record, candidate)
-                 for candidate, _ in candidates]
-        pendings = self._submit_many(pairs, tenant=tenant)
-        entries = [(candidate, score, pending)
-                   for (candidate, score), pending in zip(candidates,
-                                                          pendings)]
-        return PendingMatch(record.record_id, entries)
 
-    def clk_match(self, record_id: str, clk, k: Optional[int] = None):
-        """Dice top-k over the pool's CLK shards for one pre-encoded
-        query filter: scatter the filter, merge per-shard ``(id, score)``
-        partials with the deterministic ``(-score, id)`` rule, flag
-        matches at ``clk_threshold``.  Requests and replies carry only
-        filter bytes, ids, and scores."""
+    def clk_candidates(self, clk, k: Optional[int] = None
+                       ) -> List[Tuple[str, float]]:
+        """Scatter one packed query filter to the CLK shards and merge the
+        per-shard ``(id, score)`` partials with the deterministic
+        ``(-score, id)`` rule."""
         self._check_mode("clk")
         k = self.config.server.default_top_k if k is None else int(k)
-        started = time.perf_counter()
         partials = self._query("clk_candidates",
                                (np.asarray(clk, dtype=np.uint64), k))
-        merged = top_ranked((hit for partial in partials.values()
-                             for hit in partial), k)
-        self.request_count += 1
-        self.response_count += 1
-        return clk_response(record_id, merged, self.clk_threshold, started)
+        return top_ranked((hit for partial in partials.values()
+                           for hit in partial), k)
 
     def _query(self, method: str, args: tuple) -> Dict[int, object]:
         """``_call`` on each executor that owns a shard: one that owns
@@ -965,9 +904,9 @@ class ServingPool:
         executor index: with ``args`` on every live executor, or on each
         executor in ``owners`` with that executor's own argument tuple.
 
-        The in-process server answers inline.  A forked replica that
-        raises, dies or misses ``gather_timeout_s`` is missing from the
-        result (counted as ``pool.partial_gathers``)."""
+        Either executor raises the method's error here (the first by
+        executor index).  A forked replica that dies or misses the gather
+        timeout is missing from the result (``pool.partial_gathers``)."""
         if self._serial:
             calls = owners.items() if owners is not None else [(0, args)]
             return {index: _invoke(self._server, method, call_args)
@@ -979,14 +918,15 @@ class ServingPool:
         replies = self._gather("call", {
             index: (method, call_args)
             for index, call_args in owners.items()},
-            timeout=self.config.gather_timeout_s)
-        results = {index: reply for index, reply in replies.items()
-                   if not isinstance(reply, Exception)}
-        if len(results) < len(owners):
+            timeout=_GATHER_TIMEOUT_S)
+        if len(replies) < len(owners):
             tel = get_telemetry()
             if tel.enabled:
                 tel.metrics.counter("pool.partial_gathers").inc()
-        return results
+        for _, reply in sorted(replies.items()):
+            if isinstance(reply, BaseException):
+                raise reply
+        return replies
 
     def _gather(self, kind: str, payloads: Dict[int, tuple],
                 timeout: float) -> Dict[int, object]:
@@ -1052,12 +992,12 @@ class ServingPool:
                 service_seconds=float(service_seconds),
                 replica=replica.index, tenant=tenant, trace=trace))
         elif kind == "error":
-            _, req_id, detail = message
+            _, req_id, error = message
             inflight = self._finish(req_id, replica)
             if inflight is not None:
-                self._slo.observe_error(inflight.tenant)
+                self.slo.observe_error(inflight.tenant)
                 try:
-                    inflight.pending._fail(RuntimeError(detail))
+                    inflight.pending._fail(error)
                 except RuntimeError:  # pragma: no cover - double resolve
                     pass
         elif kind == "metrics_push":
@@ -1117,17 +1057,12 @@ class ServingPool:
             inflight.pending._resolve(response)
         except RuntimeError:  # pragma: no cover - double resolve
             pass
-        self._slo.observe(inflight.tenant, now - inflight.arrived)
-        fired = self._drift.observe(
-            inflight.tenant, [float(response.probs[1])],
-            [int(response.prediction)],
-            version=f"{response.bundle_name}@{response.model_version}")
+        self.slo.observe(inflight.tenant, now - inflight.arrived)
+        self._observe_drift(
+            {inflight.tenant: ([float(response.probs[1])],
+                               [int(response.prediction)])},
+            f"{response.bundle_name}@{response.model_version}", tel)
         if tel.enabled:
-            for event in fired:
-                tel.metrics.counter("serve.drift.events").inc()
-                tel.event("serve.drift", **event)
-            tel.metrics.gauge("serve.drift.active").set(
-                1.0 if self._drift.active else 0.0)
             tel.metrics.quantiles("pool.request_seconds").observe(
                 now - inflight.arrived)
 
@@ -1241,12 +1176,8 @@ class ServingPool:
     # ------------------------------------------------------------------
     # Candidate catalog
     # ------------------------------------------------------------------
-    @property
-    def candidate_mode(self) -> str:
-        return self._candidate_mode
-
     def _check_mode(self, mode: str) -> None:
-        if mode not in _INDEX_ARGS:
+        if mode not in INDEX_ARGS:
             raise ValueError(
                 "candidate_mode must be 'sparse', 'dense', or 'clk'")
         if mode not in self._kinds:
@@ -1256,13 +1187,9 @@ class ServingPool:
         """Flip the candidate generator pool-wide; every executor has
         adopted it when this returns (in-flight gathers finish on the
         old one)."""
-        self._check_mode(mode)
-        self._candidate_mode = mode
+        super().set_candidate_mode(mode)
         if self._started:
             self._call("set_candidate_mode", (mode,))
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.event("pool.candidate_mode", mode=mode)
         return mode
 
     def _owner(self, shard: int) -> int:
@@ -1314,14 +1241,17 @@ class ServingPool:
         """Route pre-encoded ``(record_id, packed filter)`` entries to
         their owning CLK shards (journal + live executor); returns the
         number of new ids.  The cross-party ingest path: no plaintext
-        exists anywhere in this flow."""
+        exists anywhere in this flow.  Every filter's shape is checked
+        before the journal changes, all or nothing: a respawned replica
+        rebuilds its shards from the journal, and one bad filter there
+        would fail every respawn at start."""
         self._check_mode("clk")
+        entries = [(str(record_id), packed_filter(filt, self._clk_words))
+                   for record_id, filt in entries]
         per_owner: Dict[int, list] = {}
         fresh = 0
         with self._catalog_lock:
             for record_id, filt in entries:
-                record_id = str(record_id)
-                filt = np.asarray(filt, dtype=np.uint64)
                 shard = shard_of(record_id, self.config.shards)
                 if record_id not in self._clk_catalog[shard]:
                     fresh += 1
@@ -1351,44 +1281,10 @@ class ServingPool:
         self._route("catalog_remove", per_owner)
         return removed
 
-    # ------------------------------------------------------------------
-    # Synchronous conveniences (mirror MatchServer's)
-    # ------------------------------------------------------------------
     def process_once(self) -> int:
         """Pool scheduling happens in the executors; there is nothing to
-        drive inline.  Exists for front-end compatibility."""
+        drive inline."""
         return 0
-
-    def score(self, pair: CandidatePair,
-              timeout: Optional[float] = None,
-              tenant: Optional[str] = None) -> ScoreResponse:
-        return self.submit(pair, tenant=tenant).result(timeout)
-
-    def score_batch(self, pairs: Sequence[CandidatePair],
-                    timeout: Optional[float] = None,
-                    tenants: Optional[Sequence[Optional[str]]] = None
-                    ) -> List[ScoreResponse]:
-        if tenants is None:
-            tenants = [None] * len(pairs)
-        if len(tenants) != len(pairs):
-            raise ValueError(f"tenants has {len(tenants)} entries for "
-                             f"{len(pairs)} pairs")
-        pendings = []
-        for pair, tenant in zip(pairs, tenants):
-            while True:
-                try:
-                    pendings.append(self.submit(pair, tenant=tenant))
-                    break
-                except Overloaded:
-                    if not self.is_running:
-                        raise
-                    time.sleep(0.0005)
-        return [pending.result(timeout) for pending in pendings]
-
-    def match(self, record: EntityRecord, k: Optional[int] = None,
-              timeout: Optional[float] = None,
-              tenant: Optional[str] = None):
-        return self.submit_match(record, k, tenant=tenant).result(timeout)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1400,7 +1296,7 @@ class ServingPool:
         return self._call("batch_log")
 
     # ------------------------------------------------------------------
-    # Observability surfaces (MatchServer offers the same three)
+    # Topology views (MatchServer reports itself in the same three)
     # ------------------------------------------------------------------
     def health(self) -> dict:
         """Cheap liveness payload for ``GET /healthz``: no scatter, no
@@ -1429,22 +1325,14 @@ class ServingPool:
         }
         if "clk" in self._kinds:
             payload["clk_catalog_size"] = self.clk_catalog_size()
-        if self._tenants is not None:
-            tstats = self._tenants.stats()
+        if self.tenants is not None:
+            tstats = self.tenants.stats()
             payload["tenants"] = {
                 "registered": tstats["registered"],
                 "loaded": tstats["loaded"],
                 "capacity": tstats["capacity"],
             }
         return payload
-
-    def slo_snapshot(self) -> dict:
-        """Per-tenant SLO compliance plus drift state for ``GET /slo``."""
-        return {
-            "slo": self._slo.snapshot(),
-            "drift": self._drift.snapshot(),
-            "traces": self.request_tracer.snapshot(),
-        }
 
     def metrics_snapshot(self, pull: bool = True) -> dict:
         """Pool-wide merged metrics: the router's registry plus the most

@@ -1,5 +1,10 @@
 """MatchServer: dynamic micro-batching over a bounded request queue.
 
+:class:`ServingFront` is the public surface this server shares with
+:class:`~repro.serve.pool.ServingPool` (submit, match, CLK queries, the
+synchronous conveniences, candidate mode, SLO/drift); each subclass only
+says where scoring and candidate search run.
+
 Request path
 ------------
 
@@ -194,22 +199,6 @@ class ClkMatchResponse:
         return [c for c in self.candidates if c.is_match]
 
 
-def clk_response(record_id: str, found: Sequence[Tuple[str, float]],
-                 threshold: float, started: float) -> ClkMatchResponse:
-    """Dice hits as a response, matches flagged at ``threshold``; records
-    the ``privacy.clk.*`` metrics of a query that began at ``started``."""
-    tel = get_telemetry()
-    if tel.enabled:
-        tel.metrics.counter("privacy.clk.requests").inc()
-        tel.metrics.quantiles("privacy.clk.match_seconds").observe(
-            time.perf_counter() - started)
-        tel.metrics.histogram("privacy.clk.candidates").observe(len(found))
-    return ClkMatchResponse(
-        record_id=record_id, threshold=threshold,
-        candidates=[ClkCandidate(rid, score, score >= threshold)
-                    for rid, score in found])
-
-
 class PendingResponse:
     """A one-shot future for a queued request.
 
@@ -289,7 +278,234 @@ class _Request:
         self.encode_seconds = 0.0
 
 
-class MatchServer:
+#: candidate mode -> the MatchServer argument that holds its index
+INDEX_ARGS = {"sparse": "index", "dense": "dense_index", "clk": "clk_index"}
+
+
+class ServingFront:
+    """The serving surface :class:`MatchServer` and
+    :class:`~repro.serve.pool.ServingPool` share: everything that does not
+    depend on where scoring runs.
+
+    It holds admission (the tenant check, then the subclass's
+    ``_submit_many``), match queries over its ``candidates``, CLK queries
+    over its ``clk_candidates``, the synchronous conveniences (which
+    drive ``process_once`` inline while no scheduler runs),
+    candidate-mode switching (validated by ``_check_mode``), drift
+    reporting and the SLO snapshot. A subclass keeps its topology: those
+    hooks, ``is_running``, ``start``/``stop``, ``swap``, the catalog
+    writes, ``health``, ``stats`` and ``metrics_snapshot``.
+    """
+
+    #: prefix of the shed counter and the candidate-mode event
+    _scope = "serve"
+
+    def __init__(self, tenants, clk_threshold: float,
+                 slo: Optional[SloTracker],
+                 drift: Optional[DriftMonitor]) -> None:
+        #: optional repro.serve.tenants.TenantRegistry; requests may name
+        #: one of its tenants, checked at admission
+        self.tenants = tenants
+        #: Dice score at or above which a CLK candidate counts as a match
+        self.clk_threshold = clk_threshold
+        self.slo = slo
+        self.drift = drift
+        #: stitched request traces (tracing sessions only)
+        self.request_tracer: Optional[RequestTracer] = None
+        self.request_count = 0
+        self.response_count = 0
+        self.shed_count = 0
+
+    @property
+    def server_config(self) -> ServerConfig:
+        """The scheduler knobs each executor runs with."""
+        return self.config
+
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+    def _check_tenant(self, tenant: Optional[str]) -> None:
+        """Reject an unknown tenant at admission, so a typo never costs a
+        queue slot nor reaches an executor."""
+        if tenant is not None and (self.tenants is None
+                                   or not self.tenants.has(tenant)):
+            from .tenants import UnknownTenant
+
+            raise UnknownTenant(tenant)
+
+    def _shed(self, tenant: Optional[str], count: int, message: str,
+              depth: int) -> Overloaded:
+        """Count one rejected admission of ``count`` requests (the
+        ``<scope>.shed`` counter, the tenant's SLO); returns the error."""
+        self.shed_count += 1
+        if self.slo is not None:
+            self.slo.observe_shed(tenant, count)
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.metrics.counter(f"{self._scope}.shed").inc()
+        return Overloaded(message, queue_depth=depth)
+
+    def submit(self, pair: CandidatePair,
+               tenant: Optional[str] = None) -> PendingResponse:
+        """Queue one score request; raises :class:`Overloaded` when full
+        or stopped. ``tenant`` routes it to that tenant's delta."""
+        self._check_tenant(tenant)
+        return self._submit_many([pair], tenant=tenant)[0]
+
+    def submit_match(self, record: EntityRecord,
+                     k: Optional[int] = None,
+                     tenant: Optional[str] = None) -> PendingMatch:
+        """Queue a match query: top-k candidates, one score request each
+        (admitted atomically). No candidates -> an empty, already
+        resolved response."""
+        candidates = self.candidates(record, k)
+        if not candidates:
+            return PendingMatch(record.record_id, [])
+        self._check_tenant(tenant)
+        pendings = self._submit_many(
+            [CandidatePair(record, candidate) for candidate, _ in candidates],
+            tenant=tenant)
+        entries = [(candidate, score, pending)
+                   for (candidate, score), pending in zip(candidates, pendings)]
+        return PendingMatch(record.record_id, entries)
+
+    def clk_match(self, record_id: str, clk, k: Optional[int] = None
+                  ) -> ClkMatchResponse:
+        """Dice top-k over the CLK catalog for one pre-encoded query.
+
+        This is the CLK-only *scoring* mode: the similarity itself is the
+        score (no model forward, no queue -- a popcount kernel answers in
+        microseconds), and candidates at or above ``clk_threshold`` are
+        flagged as matches. Request and response carry only ids, filter
+        bytes, and scores."""
+        started = time.perf_counter()
+        found = self.clk_candidates(clk, k)
+        self.request_count += 1
+        self.response_count += 1
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.metrics.counter("privacy.clk.requests").inc()
+            tel.metrics.quantiles("privacy.clk.match_seconds").observe(
+                time.perf_counter() - started)
+            tel.metrics.histogram("privacy.clk.candidates").observe(len(found))
+        threshold = self.clk_threshold
+        return ClkMatchResponse(
+            record_id=record_id, threshold=threshold,
+            candidates=[ClkCandidate(rid, score, score >= threshold)
+                        for rid, score in found])
+
+    # ------------------------------------------------------------------
+    # Synchronous conveniences
+    # ------------------------------------------------------------------
+    def _drive(self, pending) -> None:
+        """While no scheduler runs, score inline until ``pending`` is
+        done or nothing is left to score."""
+        if not self.is_running:
+            while not pending.done():
+                if not self.process_once():
+                    break
+
+    def score(self, pair: CandidatePair,
+              timeout: Optional[float] = None,
+              tenant: Optional[str] = None) -> ScoreResponse:
+        """Submit one pair and wait for its response (scored inline when
+        no scheduler runs)."""
+        pending = self.submit(pair, tenant=tenant)
+        self._drive(pending)
+        return pending.result(timeout)
+
+    def score_batch(self, pairs: Sequence[CandidatePair],
+                    timeout: Optional[float] = None,
+                    tenants: Optional[Sequence[Optional[str]]] = None
+                    ) -> List[ScoreResponse]:
+        """Score many pairs through the full admission + batching path.
+
+        When admission sheds, back off briefly while a scheduler runs, or
+        score one batch inline when none does; raise :class:`Overloaded`
+        when neither can make room (a stopped front). ``tenants`` routes
+        each pair to its tenant's delta (one id per pair).
+        """
+        if tenants is None:
+            tenants = [None] * len(pairs)
+        elif len(tenants) != len(pairs):
+            raise ValueError("one tenant id per pair required")
+        pendings: List[PendingResponse] = []
+        for pair, tenant in zip(pairs, tenants):
+            while True:
+                try:
+                    pendings.append(self.submit(pair, tenant=tenant))
+                    break
+                except Overloaded:
+                    if self.is_running:
+                        time.sleep(0.0005)
+                    elif not self.process_once():
+                        raise
+        for pending in pendings:
+            self._drive(pending)
+        return [pending.result(timeout) for pending in pendings]
+
+    def match(self, record: EntityRecord, k: Optional[int] = None,
+              timeout: Optional[float] = None,
+              tenant: Optional[str] = None) -> MatchResponse:
+        """Top-k candidates for ``record``, scored and ranked."""
+        pending = self.submit_match(record, k, tenant=tenant)
+        self._drive(pending)
+        return pending.result(timeout)
+
+    # ------------------------------------------------------------------
+    # Candidate mode, monitoring, lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def candidate_mode(self) -> str:
+        return self._candidate_mode
+
+    def set_candidate_mode(self, mode: str) -> str:
+        """Select the candidate generator for match queries: ``"sparse"``
+        (token overlap, always available), ``"dense"`` (ANN over
+        embeddings; requires a dense index), or ``"clk"`` (Dice over
+        packed Bloom filters; requires a CLK index). Admin-flippable at
+        runtime -- in-flight queries finish on the index they probed."""
+        self._check_mode(mode)
+        self._candidate_mode = mode
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.event(f"{self._scope}.candidate_mode", mode=mode)
+        return mode
+
+    def _observe_drift(self, rows: dict, version: str, tel) -> None:
+        """Feed the drift monitor one version's scored rows, grouped as
+        ``{tenant: (match probabilities, predictions)}``, and publish the
+        ``serve.drift.*`` events and gauge."""
+        fired = []
+        for tenant, (probs, predictions) in sorted(
+                rows.items(), key=lambda item: item[0] or ""):
+            fired.extend(self.drift.observe(tenant, probs, predictions,
+                                            version=version))
+        if tel.enabled:
+            for event in fired:
+                tel.metrics.counter("serve.drift.events").inc()
+                tel.event("serve.drift", **event)
+            tel.metrics.gauge("serve.drift.active").set(
+                1.0 if self.drift.active else 0.0)
+
+    def slo_snapshot(self) -> dict:
+        """Per-tenant SLO compliance plus drift state for ``GET /slo``."""
+        return {
+            "slo": self.slo.snapshot() if self.slo is not None else None,
+            "drift": self.drift.snapshot() if self.drift is not None
+            else None,
+            "traces": (self.request_tracer.snapshot()
+                       if self.request_tracer is not None else None),
+        }
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class MatchServer(ServingFront):
     """Online matching service over a hot-swappable model bundle.
 
     Use either mode:
@@ -323,21 +539,12 @@ class MatchServer:
         #: double-count. Pass explicit instances to share trackers (the
         #: pool's serial fallback does).
         if monitor:
-            self.slo: Optional[SloTracker] = slo if slo is not None \
-                else SloTracker()
-            self.drift: Optional[DriftMonitor] = drift if drift is not None \
-                else DriftMonitor()
-        else:
-            self.slo = slo
-            self.drift = drift
+            slo = slo if slo is not None else SloTracker()
+            drift = drift if drift is not None else DriftMonitor()
+        # with a tenant registry the scheduler binds each request's delta
+        # (or fuses several soft-prompt tenants into one batch)
+        super().__init__(tenants, clk_threshold, slo, drift)
         self._monitor = monitor
-        #: stitched request traces (tracing sessions only, lazily built)
-        self.request_tracer: Optional[RequestTracer] = None
-        #: optional repro.serve.tenants.TenantRegistry; when present,
-        #: requests may carry a tenant id and the scheduler binds that
-        #: tenant's delta (or fuses several soft-prompt tenants into one
-        #: batch) before scoring
-        self.tenants = tenants
         if tenants is not None:
             tenants.attach(bundle.model)
         self.index = index if index is not None else ServingIndex()
@@ -352,8 +559,6 @@ class MatchServer:
         #: filter bytes + ids, and Dice scoring via :meth:`clk_match` is
         #: the sole query path -- the server holds nothing reversible
         self.clk_index = clk_index
-        #: Dice score at or above which a CLK candidate counts as a match
-        self.clk_threshold = clk_threshold
         self._candidate_mode = "sparse"
         self.set_candidate_mode(candidate_mode)
         self._swap_lock = threading.Lock()
@@ -366,9 +571,6 @@ class MatchServer:
         self._closed = False
         self._batch_id = 0
         self.batch_log: List[dict] = []
-        self.shed_count = 0
-        self.request_count = 0
-        self.response_count = 0
         self.error_count = 0
         self.engine = InferenceEngine(EngineConfig(
             token_budget=self.config.token_budget,
@@ -409,35 +611,15 @@ class MatchServer:
     # ------------------------------------------------------------------
     # Candidate generation (sparse token index vs dense ANN index)
     # ------------------------------------------------------------------
-    @property
-    def candidate_mode(self) -> str:
-        return self._candidate_mode
-
-    def set_candidate_mode(self, mode: str) -> str:
-        """Select the candidate generator for match queries: ``"sparse"``
-        (token overlap, always available), ``"dense"`` (ANN over
-        embeddings; requires a ``dense_index``), or ``"clk"`` (Dice over
-        packed Bloom filters; requires a ``clk_index``). Admin-flippable
-        at runtime -- in-flight queries finish on the index they probed."""
-        if mode not in ("sparse", "dense", "clk"):
+    def _check_mode(self, mode: str) -> None:
+        if mode not in INDEX_ARGS:
             raise ValueError(
                 "candidate_mode must be 'sparse', 'dense', or 'clk'")
-        if mode == "dense" and self.dense_index is None:
-            raise ValueError("no dense index configured")
-        if mode == "clk" and self.clk_index is None:
-            raise ValueError("no clk index configured")
-        self._candidate_mode = mode
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.event("serve.candidate_mode", mode=mode)
-        return mode
+        if getattr(self, INDEX_ARGS[mode]) is None:
+            raise ValueError(f"no {mode} index configured")
 
     def _candidate_index(self):
-        if self._candidate_mode == "dense":
-            return self.dense_index
-        if self._candidate_mode == "clk":
-            return self.clk_index
-        return self.index
+        return getattr(self, INDEX_ARGS[self._candidate_mode])
 
     def candidates(self, record: EntityRecord, k: Optional[int] = None,
                    vector: Optional[np.ndarray] = None
@@ -498,8 +680,7 @@ class MatchServer:
         filters-only deployment this is the *only* write path -- which is
         what the no-plaintext serving test leans on. Returns the number
         of new ids (re-adds replace in place)."""
-        if self.clk_index is None:
-            raise ValueError("no clk index configured")
+        self._check_mode("clk")
         fresh = self.clk_index.add_clk_many(entries)
         tel = get_telemetry()
         if tel.enabled:
@@ -509,54 +690,24 @@ class MatchServer:
     def clk_catalog_size(self) -> int:
         """Filters in the CLK catalog (transport symmetry with
         :meth:`catalog_size`; a pool exposes the same method)."""
-        if self.clk_index is None:
-            raise ValueError("no clk index configured")
+        self._check_mode("clk")
         return len(self.clk_index)
 
     def clk_candidates(self, clk, k: Optional[int] = None
                        ) -> List[Tuple[str, float]]:
         """Dice top-k ``(record_id, score)`` over the CLK catalog for one
         packed query filter (no counting: :meth:`clk_match` counts)."""
-        if self.clk_index is None:
-            raise ValueError("no clk index configured")
+        self._check_mode("clk")
         k = self.config.default_top_k if k is None else k
         return self.clk_index.search(np.asarray(clk, dtype=np.uint64), k)
-
-    def clk_match(self, record_id: str, clk, k: Optional[int] = None
-                  ) -> "ClkMatchResponse":
-        """Dice top-k over the CLK catalog for one pre-encoded query.
-
-        This is the CLK-only *scoring* mode: the similarity itself is the
-        score (no model forward, no queue -- a popcount kernel answers in
-        microseconds), and candidates at or above ``clk_threshold`` are
-        flagged as matches. Request and response carry only ids, filter
-        bytes, and scores."""
-        started = time.perf_counter()
-        found = self.clk_candidates(clk, k)
-        self.request_count += 1
-        self.response_count += 1
-        return clk_response(record_id, found, self.clk_threshold, started)
 
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(self, pair: CandidatePair,
-               tenant: Optional[str] = None) -> PendingResponse:
-        """Queue one score request; raises :class:`Overloaded` when full.
-
-        ``tenant`` routes the request to that tenant's delta; unknown
-        tenants are rejected here, at admission, so a typo never costs a
-        queue slot."""
-        return self._submit_many([pair], tenant=tenant)[0]
-
     def _submit_many(self, pairs: Sequence[CandidatePair],
                      tenant: Optional[str] = None) -> List[PendingResponse]:
-        """All-or-nothing admission of a request group."""
-        if tenant is not None:
-            from .tenants import UnknownTenant
-
-            if self.tenants is None or not self.tenants.has(tenant):
-                raise UnknownTenant(tenant)
+        """All-or-nothing admission of a request group (the caller has
+        checked its tenant)."""
         now = time.perf_counter()
         tel = get_telemetry()
         tracing = self._monitor and tel.enabled and getattr(tel, "trace",
@@ -565,16 +716,10 @@ class MatchServer:
             if self._closed:
                 raise Overloaded("server is stopped",
                                  queue_depth=len(self._queue))
-            if len(self._queue) + len(pairs) > self.config.max_queue:
-                self.shed_count += 1
-                depth = len(self._queue)
-                if self.slo is not None:
-                    self.slo.observe_shed(tenant, len(pairs))
-                if tel.enabled:
-                    tel.metrics.counter("serve.shed").inc()
-                raise Overloaded(
-                    f"queue full ({depth}/{self.config.max_queue})",
-                    queue_depth=depth)
+            depth = len(self._queue)
+            if depth + len(pairs) > self.config.max_queue:
+                raise self._shed(tenant, len(pairs), "queue full "
+                                 f"({depth}/{self.config.max_queue})", depth)
             pendings = []
             for pair in pairs:
                 pending = PendingResponse()
@@ -594,22 +739,6 @@ class MatchServer:
             tel.metrics.counter("serve.requests").inc(len(pairs))
             tel.metrics.gauge("serve.queue_depth").set(depth)
         return pendings
-
-    def submit_match(self, record: EntityRecord,
-                     k: Optional[int] = None,
-                     tenant: Optional[str] = None) -> PendingMatch:
-        """Queue a match query: top-k index candidates, one score request
-        each (admitted atomically). No candidates -> an empty, already
-        resolved response."""
-        candidates = self.candidates(record, k)
-        if not candidates:
-            return PendingMatch(record.record_id, [])
-        pairs = [CandidatePair(record, candidate)
-                 for candidate, _ in candidates]
-        pendings = self._submit_many(pairs, tenant=tenant)
-        entries = [(candidate, score, pending)
-                   for (candidate, score), pending in zip(candidates, pendings)]
-        return PendingMatch(record.record_id, entries)
 
     # ------------------------------------------------------------------
     # Scheduler
@@ -836,24 +965,13 @@ class MatchServer:
                 self.slo.observe(request.tenant, served - request.arrived)
         if self.drift is None:
             return
-        version_key = f"{bundle.name}@{version}"
-        rows_by_tenant: dict = {}
+        rows: dict = {}
         for row, request in enumerate(batch):
-            rows_by_tenant.setdefault(request.tenant, []).append(row)
-        fired = []
-        for tenant, rows in sorted(rows_by_tenant.items(),
-                                   key=lambda item: item[0] or ""):
-            fired.extend(self.drift.observe(
-                tenant,
-                [float(probs[row, 1]) for row in rows],
-                [int(predictions[row]) for row in rows],
-                version=version_key))
-        if tel.enabled:
-            for event in fired:
-                tel.metrics.counter("serve.drift.events").inc()
-                tel.event("serve.drift", **event)
-            tel.metrics.gauge("serve.drift.active").set(
-                1.0 if self.drift.active else 0.0)
+            tenant_probs, tenant_predictions = rows.setdefault(
+                request.tenant, ([], []))
+            tenant_probs.append(float(probs[row, 1]))
+            tenant_predictions.append(int(predictions[row]))
+        self._observe_drift(rows, f"{bundle.name}@{version}", tel)
 
     def _loop(self) -> None:
         while True:
@@ -937,70 +1055,8 @@ class MatchServer:
                                 pass
                         break
 
-    def __enter__(self) -> "MatchServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------
-    # Synchronous conveniences
-    # ------------------------------------------------------------------
-    def score(self, pair: CandidatePair,
-              timeout: Optional[float] = None,
-              tenant: Optional[str] = None) -> ScoreResponse:
-        """Submit one pair and wait for its response (threaded mode), or
-        score it inline when no scheduler thread is running."""
-        pending = self.submit(pair, tenant=tenant)
-        if not self.is_running:
-            while not pending.done():
-                self.process_once()
-        return pending.result(timeout)
-
-    def score_batch(self, pairs: Sequence[CandidatePair],
-                    timeout: Optional[float] = None,
-                    tenants: Optional[Sequence[Optional[str]]] = None
-                    ) -> List[ScoreResponse]:
-        """Score many pairs through the full admission + batching path.
-
-        Respects the queue bound by draining inline (no thread) or backing
-        off briefly (threaded) when admission sheds. ``tenants`` routes
-        each pair to its tenant's delta (one id per pair).
-        """
-        if tenants is None:
-            tenants = [None] * len(pairs)
-        elif len(tenants) != len(pairs):
-            raise ValueError("one tenant id per pair required")
-        pendings: List[PendingResponse] = []
-        for pair, tenant in zip(pairs, tenants):
-            while True:
-                try:
-                    pendings.append(self.submit(pair, tenant=tenant))
-                    break
-                except Overloaded:
-                    if self.is_running:
-                        time.sleep(0.0005)
-                    else:
-                        self.process_once()
-        if not self.is_running:
-            while any(not pending.done() for pending in pendings):
-                if not self.process_once():
-                    break
-        return [pending.result(timeout) for pending in pendings]
-
-    def match(self, record: EntityRecord, k: Optional[int] = None,
-              timeout: Optional[float] = None,
-              tenant: Optional[str] = None) -> MatchResponse:
-        """Top-k candidates for ``record``, scored and ranked."""
-        pending = self.submit_match(record, k, tenant=tenant)
-        if not self.is_running:
-            while not pending.done():
-                if not self.process_once():
-                    break
-        return pending.result(timeout)
-
-    # ------------------------------------------------------------------
-    # Observability surfaces (ServingPool offers the same three)
+    # Topology views (a pool reports its replicas in the same three)
     # ------------------------------------------------------------------
     def health(self) -> dict:
         """Cheap liveness payload for ``GET /healthz`` (no locks beyond
@@ -1028,16 +1084,6 @@ class MatchServer:
                 "capacity": tstats["capacity"],
             }
         return payload
-
-    def slo_snapshot(self) -> dict:
-        """Per-tenant SLO compliance plus drift state for ``GET /slo``."""
-        return {
-            "slo": self.slo.snapshot() if self.slo is not None else None,
-            "drift": self.drift.snapshot() if self.drift is not None
-            else None,
-            "traces": (self.request_tracer.snapshot()
-                       if self.request_tracer is not None else None),
-        }
 
     def metrics_snapshot(self) -> dict:
         """The active registry's snapshot, shaped like the pool's merged

@@ -77,6 +77,59 @@ class TestServeJSONLMode:
         assert "indexed" in err and "served" in err
 
 
+class TestServeSeeding:
+    def test_server_and_pool_seed_alike(self, bundle, dataset, tmp_path,
+                                        capsys):
+        """``--catalog`` and ``--clk-catalog`` seed one process and a
+        2-replica pool through the same front: a match and a clk_match
+        request find the same candidates on both."""
+        import base64
+
+        from repro.privacy import ClkCatalog, clk_to_bytes
+
+        bundle.save(tmp_path / "b")
+        catalog = tmp_path / "catalog.jsonl"
+        with open(catalog, "w") as f:
+            for record in dataset.right_table:
+                f.write(json.dumps(_record_to_dict(record)) + "\n")
+        clk_dir = tmp_path / "clk"
+        assert main(["clk-encode", "--catalog", str(catalog), "--salt", "s",
+                     "--out", str(clk_dir), "--nbits", "256",
+                     "--hashes", "8"]) == 0
+        probe_id = dataset.right_table.records[3].record_id
+        probe = ClkCatalog.load(clk_dir).get(probe_id)
+        requests = tmp_path / "req.jsonl"
+        with open(requests, "w") as f:
+            f.write(json.dumps({
+                "op": "match", "k": 3,
+                "record": _record_to_dict(
+                    dataset.left_table.records[0])}) + "\n")
+            f.write(json.dumps({
+                "op": "clk_match", "id": "q", "k": 3,
+                "clk": base64.b64encode(clk_to_bytes(probe)).decode()})
+                + "\n")
+
+        found = {}
+        for replicas in (0, 2):
+            output = tmp_path / f"out{replicas}.jsonl"
+            assert main(["serve", "--bundle", str(tmp_path / "b"),
+                         "--requests", str(requests),
+                         "--output", str(output),
+                         "--catalog", str(catalog),
+                         "--clk-catalog", str(clk_dir),
+                         "--replicas", str(replicas)]) == 0
+            match, clk = [json.loads(line)
+                          for line in output.read_text().splitlines()]
+            found[replicas] = (
+                sorted(c["record"]["id"] for c in match["candidates"]),
+                [c["id"] for c in clk["candidates"]])
+            err = capsys.readouterr().err
+            assert "seeded" in err and "indexed" in err
+        assert found[0] == found[2]
+        matched, clk_ids = found[0]
+        assert len(matched) == 3 and clk_ids[0] == probe_id
+
+
 class TestTenantCLI:
     def test_tune_parser_defaults(self):
         args = build_parser().parse_args(["tune", "--bundle", "b",
