@@ -218,7 +218,7 @@ def serve_requests(server: ServingFront, requests: Iterable[dict],
             except KeyError as missing:
                 raise ProtocolError(f"score request needs {missing} record")
 
-            def submit(p=pair, t=tenant):
+            def enqueue(p=pair, t=tenant):
                 return "score", server.submit(p, tenant=t)
         elif op == "match":
             if "record" not in request:
@@ -226,7 +226,7 @@ def serve_requests(server: ServingFront, requests: Iterable[dict],
             record = _record_from_dict(request["record"])
             k = request.get("k")
 
-            def submit(r=record, k=k, t=tenant):
+            def enqueue(r=record, k=k, t=tenant):
                 return "match", server.submit_match(r, k=k, tenant=t)
         elif op == "clk_match":
             # answered inline (no queue); drain pending first so the
@@ -239,7 +239,7 @@ def serve_requests(server: ServingFront, requests: Iterable[dict],
             raise ProtocolError(f"unknown op {op!r}")
         while True:
             try:
-                pending.append(submit())
+                pending.append(enqueue())
                 break
             except Overloaded as error:
                 if pending:

@@ -199,6 +199,22 @@ class ClkMatchResponse:
         return [c for c in self.candidates if c.is_match]
 
 
+def clk_response(record_id: str, found: Sequence[Tuple[str, float]],
+                 threshold: float, started: float) -> ClkMatchResponse:
+    """Dice hits as a response, matches flagged at ``threshold``; records
+    the ``privacy.clk.*`` metrics of a query that began at ``started``."""
+    tel = get_telemetry()
+    if tel.enabled:
+        tel.metrics.counter("privacy.clk.requests").inc()
+        tel.metrics.quantiles("privacy.clk.match_seconds").observe(
+            time.perf_counter() - started)
+        tel.metrics.histogram("privacy.clk.candidates").observe(len(found))
+    return ClkMatchResponse(
+        record_id=record_id, threshold=threshold,
+        candidates=[ClkCandidate(rid, score, score >= threshold)
+                    for rid, score in found])
+
+
 class PendingResponse:
     """A one-shot future for a queued request.
 
@@ -382,17 +398,7 @@ class ServingFront:
         found = self.clk_candidates(clk, k)
         self.request_count += 1
         self.response_count += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.counter("privacy.clk.requests").inc()
-            tel.metrics.quantiles("privacy.clk.match_seconds").observe(
-                time.perf_counter() - started)
-            tel.metrics.histogram("privacy.clk.candidates").observe(len(found))
-        threshold = self.clk_threshold
-        return ClkMatchResponse(
-            record_id=record_id, threshold=threshold,
-            candidates=[ClkCandidate(rid, score, score >= threshold)
-                        for rid, score in found])
+        return clk_response(record_id, found, self.clk_threshold, started)
 
     # ------------------------------------------------------------------
     # Synchronous conveniences
