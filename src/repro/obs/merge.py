@@ -4,8 +4,9 @@ A :class:`~repro.serve.pool.ServingPool` runs one
 :class:`~repro.obs.MetricsRegistry` per process -- the router's plus one
 inside every forked replica.  Each process's snapshot is correct for its
 own slice of the traffic; ``GET /metrics`` must reflect the whole pool.
-Replicas therefore ship their snapshots over the existing result pipes
-(periodic pushes plus an on-demand pull) and the parent merges them here.
+The parent pulls each replica's snapshot over its pipe when it reads the
+metrics (a stopping replica sends a final one with its stop ack) and
+merges them here.
 
 Merging is defined *per metric kind* on the plain snapshot dicts the
 registry already produces, so no live metric objects ever cross a process
@@ -27,6 +28,9 @@ boundary:
 * **timer** -- count/sum add, ``ewma`` is the count-weighted mean of the
   source EWMAs, ``last`` comes from the source with the most
   observations.
+
+A metric only one source holds merges to that source's snapshot as it is
+(without its reservoir), so a single-process view merges to itself.
 
 A name bound to different kinds in different sources raises -- silently
 aliasing a counter onto a histogram would corrupt both, exactly the rule
@@ -149,6 +153,11 @@ def merge_metric(name: str, entries: List[Tuple[str, dict]]) -> dict:
         raise ValueError(f"metric {name!r} has unknown kind {kind!r}")
     live = [(label, snap) for label, snap in entries
             if snap.get("kind") == kind]
+    if len(live) == 1:
+        # nothing to combine: re-deriving a mean or a quantile from
+        # ``value * count`` could round it
+        return {key: value for key, value in live[0][1].items()
+                if key != "samples"}
     return merger(sorted(live, key=lambda item: item[0]))
 
 

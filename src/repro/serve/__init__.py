@@ -47,10 +47,7 @@ from .server import (
     MatchServer, Overloaded, PendingMatch, PendingResponse, ScoreResponse,
     ServerConfig, ServingFront,
 )
-from .shard import (
-    ShardedDenseCandidateIndex, ShardedIndex, ShardedServingIndex,
-    merge_topk, shard_of,
-)
+from .shard import ShardedIndex, merge_topk, shard_of
 from .weights import SharedBundleWeights
 
 __all__ = [
@@ -58,8 +55,7 @@ __all__ = [
     "DeltaBundle", "DELTA_SCHEMA_VERSION", "backbone_fingerprint",
     "TenantRegistry", "TenantEntry", "TenantError", "UnknownTenant",
     "ServingIndex", "DenseCandidateIndex",
-    "ShardedIndex", "ShardedServingIndex", "ShardedDenseCandidateIndex",
-    "shard_of", "merge_topk",
+    "ShardedIndex", "shard_of", "merge_topk",
     "ServingFront", "MatchServer", "ServerConfig", "Overloaded",
     "ServingPool", "PoolConfig", "SharedBundleWeights",
     "ScoreResponse", "MatchResponse", "MatchCandidate",

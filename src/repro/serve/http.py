@@ -26,9 +26,9 @@ Two transports over one JSON protocol:
   - ``POST /admin/clk-catalog``  ``{"add": [{"id", "clk": <base64>}...],
     "remove": [<id>...]}`` -- the cross-party ingest path: pre-encoded
     filters only, never raw attribute values
-  - ``POST /admin/candidates``  ``{"mode": "sparse" | "dense"}`` -- flip
-    the candidate generator match queries use (pool-wide when serving a
-    :class:`~repro.serve.pool.ServingPool`)
+  - ``POST /admin/candidates``  ``{"mode": "sparse" | "dense" | "clk"}``
+    -- flip the candidate generator match queries use (pool-wide when
+    serving a :class:`~repro.serve.pool.ServingPool`)
   - ``GET /stats`` and ``GET /healthz`` -- ``/healthz`` is ungated and
     cheap (bundle version, catalog size, replica liveness/outstanding,
     tenant occupancy; no scoring, no scatter), sized for LB probes
@@ -47,8 +47,11 @@ construction -- so ``repro serve --replicas N`` swaps the pool in without
 touching this module's request path.
 
 Records use the dataset-bundle JSON shape (``{"id", "kind", "values"}``).
-A shed request answers ``503 {"status": "overloaded"}`` -- explicit
-backpressure, never silent buffering.
+Both transports decode a request the same way: a body or record that is
+not a JSON object, a missing field or an unknown op is a
+:class:`ProtocolError` (HTTP 400). A shed request answers
+``503 {"status": "overloaded"}`` -- explicit backpressure, never silent
+buffering.
 
 The ``/admin/*`` routes mutate the server (model swap from a filesystem
 path, catalog edits), so they are gated: with an ``admin_token``
@@ -70,6 +73,7 @@ from typing import Deque, Iterable, Iterator, List, Optional, Tuple
 
 from ..data.dataset import CandidatePair
 from ..data.io import _record_from_dict, _record_to_dict
+from ..data.records import EntityRecord
 from ..obs import get_telemetry
 from ..privacy.encoder import clk_from_bytes
 from .bundle import ModelBundle
@@ -133,51 +137,93 @@ def clk_match_response_to_dict(response: ClkMatchResponse) -> dict:
     }
 
 
-def _clk_from_request(request: dict):
-    """Decode the base64 ``clk`` field of a request dict to packed uint64."""
-    encoded = request.get("clk")
-    if not isinstance(encoded, str) or not encoded:
-        raise ProtocolError("clk_match request needs a base64 clk field")
-    return clk_from_bytes(base64.b64decode(encoded))
-
-
 def overloaded_to_dict(error: Overloaded) -> dict:
     return {"status": "overloaded", "detail": str(error),
             "queue_depth": error.queue_depth}
+
+
+def _object(value, what: str) -> dict:
+    """``value`` when it is a JSON object, else a ProtocolError."""
+    if not isinstance(value, dict):
+        raise ProtocolError(f"{what} must be a JSON object")
+    return value
+
+
+def _record(value, what: str) -> EntityRecord:
+    """``value`` decoded as a record; ``what`` names it in errors."""
+    if value is None:
+        raise ProtocolError(f"missing {what}")
+    try:
+        return _record_from_dict(_object(value, what))
+    except KeyError as missing:
+        raise ProtocolError(f"{what} needs {missing}") from None
+
+
+def _clk_entry(entry) -> tuple:
+    """One ``{"id", "clk": <base64>}`` entry as ``(id, packed filter)``."""
+    entry = _object(entry, "clk-catalog entry")
+    return str(entry["id"]), clk_from_bytes(base64.b64decode(entry["clk"]))
+
+
+def _decode(request) -> Tuple[str, tuple, Optional[str]]:
+    """Check one request dict; returns ``(op, args, tenant)``, where
+    ``args`` are the pair of a ``score``, ``(record, k)`` of a ``match``
+    and ``(id, packed filter, k)`` of a ``clk_match``."""
+    request = _object(request, "request")
+    op = request.get("op", "score")
+    if op == "score":
+        args = (CandidatePair(_record(request.get("left"), "left record"),
+                              _record(request.get("right"), "right record")),)
+    elif op == "match":
+        args = (_record(request.get("record"), "match record"),
+                request.get("k"))
+    elif op == "clk_match":
+        encoded = request.get("clk")
+        if not isinstance(encoded, str) or not encoded:
+            raise ProtocolError("clk_match request needs a base64 clk field")
+        args = (request.get("id", ""), clk_from_bytes(
+            base64.b64decode(encoded)), request.get("k"))
+    else:
+        raise ProtocolError(f"unknown op {op!r}")
+    return op, args, request.get("tenant")
+
+
+def _submit(server: ServingFront, op: str, args: tuple,
+            tenant: Optional[str]):
+    """Admit a decoded score or match request; returns its pending."""
+    if op == "score":
+        return server.submit(*args, tenant=tenant)
+    return server.submit_match(*args, tenant=tenant)
+
+
+def _answer(server: ServingFront, op: str, pending,
+            timeout: Optional[float]) -> dict:
+    """Wait for one admitted request (scored inline while no scheduler
+    runs) and encode its response."""
+    server._drive(pending)
+    try:
+        response = pending.result(timeout)
+    except Overloaded as error:  # failed by stop(drain=False)
+        return overloaded_to_dict(error)
+    if op == "score":
+        return score_response_to_dict(response)
+    return match_response_to_dict(response)
 
 
 def handle_request(server: ServingFront, request: dict,
                    timeout: Optional[float] = 30.0) -> dict:
     """Dispatch one request dict; returns a response dict (including the
     explicit ``overloaded`` response when admission sheds)."""
-    op = request.get("op", "score")
-    tenant = request.get("tenant")
+    op, args, tenant = _decode(request)
+    if op == "clk_match":
+        # synchronous: a popcount kernel answers without touching the
+        # model queue, so there is no admission to shed
+        return clk_match_response_to_dict(server.clk_match(*args))
     try:
-        if op == "score":
-            try:
-                pair = CandidatePair(_record_from_dict(request["left"]),
-                                     _record_from_dict(request["right"]))
-            except KeyError as missing:
-                raise ProtocolError(f"score request needs {missing} record")
-            return score_response_to_dict(
-                server.score(pair, timeout=timeout, tenant=tenant))
-        if op == "match":
-            if "record" not in request:
-                raise ProtocolError("match request needs a record")
-            record = _record_from_dict(request["record"])
-            k = request.get("k")
-            return match_response_to_dict(
-                server.match(record, k=k, timeout=timeout, tenant=tenant))
-        if op == "clk_match":
-            # synchronous: a popcount kernel answers without touching the
-            # model queue, so there is no admission to shed
-            clk = _clk_from_request(request)
-            return clk_match_response_to_dict(
-                server.clk_match(request.get("id", ""), clk,
-                                 k=request.get("k")))
-        raise ProtocolError(f"unknown op {op!r}")
+        pending = _submit(server, op, args, tenant)
     except Overloaded as error:
         return overloaded_to_dict(error)
+    return _answer(server, op, pending, timeout)
 
 
 def serve_requests(server: ServingFront, requests: Iterable[dict],
@@ -199,47 +245,20 @@ def serve_requests(server: ServingFront, requests: Iterable[dict],
     pending: Deque[Tuple[str, object]] = deque()
 
     def collect() -> dict:
-        kind, item = pending.popleft()
-        server._drive(item)
-        try:
-            if kind == "score":
-                return score_response_to_dict(item.result(timeout))
-            return match_response_to_dict(item.result(timeout))
-        except Overloaded as error:  # failed by stop(drain=False)
-            return overloaded_to_dict(error)
+        return _answer(server, *pending.popleft(), timeout)
 
     for request in requests:
-        op = request.get("op", "score")
-        tenant = request.get("tenant")
-        if op == "score":
-            try:
-                pair = CandidatePair(_record_from_dict(request["left"]),
-                                     _record_from_dict(request["right"]))
-            except KeyError as missing:
-                raise ProtocolError(f"score request needs {missing} record")
-
-            def enqueue(p=pair, t=tenant):
-                return "score", server.submit(p, tenant=t)
-        elif op == "match":
-            if "record" not in request:
-                raise ProtocolError("match request needs a record")
-            record = _record_from_dict(request["record"])
-            k = request.get("k")
-
-            def enqueue(r=record, k=k, t=tenant):
-                return "match", server.submit_match(r, k=k, tenant=t)
-        elif op == "clk_match":
+        op, args, tenant = _decode(request)
+        if op == "clk_match":
             # answered inline (no queue); drain pending first so the
             # one-response-per-request order is preserved
             while pending:
                 yield collect()
-            yield handle_request(server, request, timeout=timeout)
+            yield clk_match_response_to_dict(server.clk_match(*args))
             continue
-        else:
-            raise ProtocolError(f"unknown op {op!r}")
         while True:
             try:
-                pending.append(enqueue())
+                pending.append((op, _submit(server, op, args, tenant)))
                 break
             except Overloaded as error:
                 if pending:
@@ -275,12 +294,20 @@ class _Handler(BaseHTTPRequestHandler):
     request_timeout: float = 30.0
     admin_token: Optional[str] = None
 
-    def _admin_allowed(self) -> bool:
-        """Token when configured; otherwise loopback clients only."""
+    def _admin_allowed(self, what: str) -> bool:
+        """Token when configured; otherwise loopback clients only. A
+        refused caller gets the 403 naming ``what`` was denied."""
         if self.admin_token is not None:
             supplied = self.headers.get("X-Admin-Token", "")
-            return hmac.compare_digest(supplied, self.admin_token)
-        return self.client_address[0] in _LOOPBACK
+            allowed = hmac.compare_digest(supplied, self.admin_token)
+        else:
+            allowed = self.client_address[0] in _LOOPBACK
+        if not allowed:
+            self._reply(403, {
+                "status": "error",
+                "detail": f"{what} denied: present X-Admin-Token, or "
+                          "connect from loopback when no token is set"})
+        return allowed
 
     def _reply(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -294,7 +321,8 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         if length <= 0:
             return {}
-        return json.loads(self.rfile.read(length).decode("utf-8"))
+        return _object(json.loads(self.rfile.read(length).decode("utf-8")),
+                       "request body")
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler API
         if self.path == "/healthz":
@@ -304,27 +332,17 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/stats":
             self._reply(200, self.match_server.stats())
         elif self.path == "/metrics":
-            if not self._admin_allowed():
-                self._reply(403, {
-                    "status": "error",
-                    "detail": "metrics denied: present X-Admin-Token, or "
-                              "connect from loopback when no token is set"})
-                return
-            # a pool merges its router and replica registries
-            view = self.match_server.metrics_snapshot()
-            self._reply(200, {"status": "ok",
-                              "enabled": get_telemetry().enabled,
-                              "metrics": view["merged"],
-                              "sources": view["sources"]})
+            if self._admin_allowed("metrics"):
+                # a pool merges its router and replica registries
+                view = self.match_server.metrics_snapshot()
+                self._reply(200, {"status": "ok",
+                                  "enabled": get_telemetry().enabled,
+                                  "metrics": view["merged"],
+                                  "sources": view["sources"]})
         elif self.path == "/slo":
-            if not self._admin_allowed():
-                self._reply(403, {
-                    "status": "error",
-                    "detail": "slo denied: present X-Admin-Token, or "
-                              "connect from loopback when no token is set"})
-                return
-            self._reply(200, {"status": "ok",
-                              **self.match_server.slo_snapshot()})
+            if self._admin_allowed("slo"):
+                self._reply(200, {"status": "ok",
+                                  **self.match_server.slo_snapshot()})
         else:
             self._reply(404, {"status": "error", "detail": "unknown path"})
 
@@ -334,11 +352,8 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, UnicodeDecodeError) as error:
             self._reply(400, {"status": "error", "detail": str(error)})
             return
-        if self.path.startswith("/admin/") and not self._admin_allowed():
-            self._reply(403, {
-                "status": "error",
-                "detail": "admin API denied: present X-Admin-Token, or "
-                          "connect from loopback when no token is set"})
+        if self.path.startswith("/admin/") and \
+                not self._admin_allowed("admin API"):
             return
         try:
             if self.path == "/score":
@@ -360,15 +375,17 @@ class _Handler(BaseHTTPRequestHandler):
                             "bundle": bundle.name}
             elif self.path == "/admin/catalog":
                 added = self.match_server.catalog_add(
-                    _record_from_dict(r) for r in payload.get("add", []))
+                    [_record(r, "catalog record")
+                     for r in payload.get("add", [])])
                 removed = self.match_server.catalog_remove(
                     payload.get("remove", []))
                 response = {"status": "ok", "added": added,
                             "removed": removed,
                             "size": self.match_server.catalog_size()}
             elif self.path == "/admin/clk-catalog":
-                entries = [(str(entry["id"]),
-                            clk_from_bytes(base64.b64decode(entry["clk"])))
+                # a front without a CLK index refuses before any write
+                self.match_server._check_mode("clk")
+                entries = [_clk_entry(entry)
                            for entry in payload.get("add", [])]
                 added = self.match_server.catalog_add_clk(entries) \
                     if entries else 0

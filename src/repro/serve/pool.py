@@ -28,7 +28,7 @@ unit* and adds the multi-worker topology around it:
   a replica three message kinds: ``score`` (one admitted request),
   ``call`` (one method of the replica's server, from a fixed allowlist:
   catalog writes, candidates, CLK search, candidate mode, stats, batch
-  log, metrics) and ``stop``.
+  log, registry snapshot) and ``stop``.
 
 * **Fault containment** -- a replica that dies mid-flight is detected by
   its pipe EOF; its in-flight requests are *re-dispatched* to surviving
@@ -84,7 +84,7 @@ import numpy as np
 from ..data.dataset import CandidatePair
 from ..data.records import EntityRecord
 from ..kernels import top_ranked
-from ..obs import get_telemetry, merge_snapshots
+from ..obs import get_telemetry
 from ..obs.serving import (
     DriftMonitor, RequestTracer, SloTracker, TraceContext, stitch_trace,
 )
@@ -103,16 +103,12 @@ from .weights import SharedBundleWeights
 _CALLS = frozenset({
     "catalog_add", "catalog_remove", "catalog_add_clk", "candidates",
     "clk_candidates", "set_candidate_mode", "stats", "batch_log",
-    "metrics_snapshot"})
+    "registry_snapshot"})
 
 #: how long a scatter/gather waits for candidates, stats and acks
 _GATHER_TIMEOUT_S = 10.0
 #: how long stop(drain=True) waits for in-flight work by default
 _DRAIN_TIMEOUT_S = 30.0
-#: how often a replica pushes its metrics snapshot to the router while
-#: telemetry is on (the router can also pull, and the stop ack carries
-#: the final snapshot)
-_METRICS_INTERVAL_S = 2.0
 
 
 def _portable(error: BaseException) -> BaseException:
@@ -303,14 +299,13 @@ class ReplicaMatchServer(MatchServer):
         raise RuntimeError("replica servers adopt published weights; "
                            "swap through the pool")
 
-    def stats(self) -> dict:
-        stats = super().stats()
+    def _add_stats(self, stats: dict) -> None:
+        super()._add_stats(stats)
         stats.update(replica=self._replica_index,
                      shards=sorted(self.index.shards),
                      blas_threads=self.blas_threads)
-        return stats
 
-    def metrics_snapshot(self) -> dict:
+    def registry_snapshot(self) -> dict:
         """This process's registry with its samples, so the router's merged
         quantiles are exact (``{}`` with telemetry off)."""
         return get_telemetry().metrics.snapshot(include_samples=True)
@@ -364,8 +359,8 @@ def _replica_main(conn, replica: int, pool: "ServingPool") -> None:
     # detach the parent's telemetry session -- the run log must have
     # exactly one writer (the router) -- but keep observing: when the
     # parent had telemetry on at fork time, install a child-local session
-    # (fresh registry, no run log, same trace flag) whose snapshots are
-    # shipped back over this pipe for the router's pool-wide merge
+    # (fresh registry, no run log, same trace flag) whose snapshots the
+    # router pulls over this pipe for its pool-wide merge
     from ..obs import MetricsRegistry, Telemetry
     from ..obs import telemetry as _telemetry_module
     parent_tel = _telemetry_module._ACTIVE
@@ -433,15 +428,6 @@ def _replica_main(conn, replica: int, pool: "ServingPool") -> None:
     collector.start()
     server.start()
 
-    push_halt = threading.Event()
-    if child_tel is not None:
-        def push_metrics() -> None:
-            while not push_halt.wait(_METRICS_INTERVAL_S):
-                send(("metrics_push", replica, server.metrics_snapshot()))
-
-        threading.Thread(target=push_metrics, name="repro-pool-metrics",
-                         daemon=True).start()
-
     try:
         while True:
             try:
@@ -466,7 +452,6 @@ def _replica_main(conn, replica: int, pool: "ServingPool") -> None:
                 send(("reply", qid, result))
             elif kind == "stop":
                 _, qid, drain = message
-                push_halt.set()
                 server.stop(drain=drain)
                 results.put(None)
                 collector.join(timeout=10.0)
@@ -474,7 +459,7 @@ def _replica_main(conn, replica: int, pool: "ServingPool") -> None:
                        "responses": server.response_count}
                 if child_tel is not None:
                     # final snapshot: counts from the drain are included
-                    ack["metrics"] = server.metrics_snapshot()
+                    ack["metrics"] = server.registry_snapshot()
                 send(("reply", qid, ack))
                 break
     finally:
@@ -520,11 +505,10 @@ class ServingPool(ServingFront):
 
             tenants = TenantRegistry(capacity=self.config.tenant_capacity,
                                      tenants_dir=self.config.tenants_dir)
-        super().__init__(tenants, clk_threshold,
+        super().__init__(bundle, tenants, clk_threshold,
                          slo if slo is not None else SloTracker(),
                          drift if drift is not None else DriftMonitor())
         self.request_tracer = RequestTracer()
-        self._bundle = bundle
         self._encoder = encoder
         #: CLK (PPRL) serving: ``clk_encoder`` enables the single-party
         #: shape (the router encodes its own plaintext catalog adds);
@@ -586,7 +570,6 @@ class ServingPool(ServingFront):
         self._serial = False
         #: executors splitting the shards: the replicas, or one serial server
         self._executors = self.config.replicas
-        self._version = 1
         self._started = False
         self._closed = False
         self._stopping = False      # suppresses respawn/redispatch
@@ -596,7 +579,8 @@ class ServingPool(ServingFront):
         self.respawn_count = 0
         self.death_count = 0
 
-        #: label -> most recent metrics snapshot shipped by that replica
+        #: label -> the newest registry snapshot of that replica: pulled on
+        #: every metrics read, and carried by its stop ack
         self._replica_metrics: Dict[str, dict] = {}
         self._metrics_lock = threading.Lock()
 
@@ -615,6 +599,10 @@ class ServingPool(ServingFront):
     def serial(self) -> bool:
         """True when running the in-process fallback (no fork / no shm)."""
         return self._serial
+
+    @property
+    def _mode(self) -> str:
+        return "serial" if self._serial else "pool"
 
     def start(self) -> "ServingPool":
         if self._started:
@@ -1000,10 +988,6 @@ class ServingPool(ServingFront):
                     inflight.pending._fail(error)
                 except RuntimeError:  # pragma: no cover - double resolve
                     pass
-        elif kind == "metrics_push":
-            _, index, snapshot = message
-            with self._metrics_lock:
-                self._replica_metrics[f"replica{index}"] = snapshot
         elif kind == "reply":
             _, qid, payload = message
             with self._lock:
@@ -1143,14 +1127,6 @@ class ServingPool(ServingFront):
     # ------------------------------------------------------------------
     # Model management
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        return self._version
-
-    @property
-    def bundle(self) -> ModelBundle:
-        return self._bundle
-
     def swap(self, bundle: ModelBundle) -> int:
         """Publish ``bundle`` into the shared store: one version bump
         atomically flips every replica at its next batch boundary."""
@@ -1176,13 +1152,6 @@ class ServingPool(ServingFront):
     # ------------------------------------------------------------------
     # Candidate catalog
     # ------------------------------------------------------------------
-    def _check_mode(self, mode: str) -> None:
-        if mode not in INDEX_ARGS:
-            raise ValueError(
-                "candidate_mode must be 'sparse', 'dense', or 'clk'")
-        if mode not in self._kinds:
-            raise ValueError(f"no {mode} index configured")
-
     def set_candidate_mode(self, mode: str) -> str:
         """Flip the candidate generator pool-wide; every executor has
         adopted it when this returns (in-flight gathers finish on the
@@ -1262,6 +1231,7 @@ class ServingPool(ServingFront):
         return fresh
 
     def clk_catalog_size(self) -> int:
+        self._check_mode("clk")
         with self._catalog_lock:
             return sum(len(shard) for shard in self._clk_catalog)
 
@@ -1296,96 +1266,38 @@ class ServingPool(ServingFront):
         return self._call("batch_log")
 
     # ------------------------------------------------------------------
-    # Topology views (MatchServer reports itself in the same three)
+    # What only a pool adds to the views
     # ------------------------------------------------------------------
-    def health(self) -> dict:
-        """Cheap liveness payload for ``GET /healthz``: no scatter, no
-        scoring -- only router-side state, safe for LB probes."""
+    def _queue_depth(self) -> int:
         with self._lock:
-            live = [replica.index for replica in self._replicas
-                    if replica.live]
-            outstanding = {str(replica.index): replica.outstanding_pairs
-                           for replica in self._replicas}
-            depth = len(self._inflight)
-        payload = {
-            "mode": "serial" if self.serial else "pool",
-            "model_version": self.version,
-            "bundle": self._bundle.name,
-            "catalog_size": self.catalog_size(),
-            "candidate_mode": self._candidate_mode,
-            "candidate_index": self._kinds[self._candidate_mode],
-            "queue_depth": depth,
-            "replicas": {
-                "configured": self.config.replicas,
-                "live": live,
-                "outstanding": outstanding,
-                "deaths": self.death_count,
-                "respawns": self.respawn_count,
-            },
-        }
-        if "clk" in self._kinds:
-            payload["clk_catalog_size"] = self.clk_catalog_size()
-        if self.tenants is not None:
-            tstats = self.tenants.stats()
-            payload["tenants"] = {
-                "registered": tstats["registered"],
-                "loaded": tstats["loaded"],
-                "capacity": tstats["capacity"],
-            }
-        return payload
+            return len(self._inflight)
 
-    def metrics_snapshot(self, pull: bool = True) -> dict:
-        """Pool-wide merged metrics: the router's registry plus the most
-        recent snapshot of every forked replica, merged per metric kind
-        (the serial server shares the router's registry).
-
-        ``pull=True`` (the default) asks every live replica for its
-        snapshot first so the merge reflects right-now counts instead of
-        the last periodic push; pass ``False`` for a cheap cached read.
-        """
-        tel = get_telemetry()
-        router = tel.metrics.snapshot(include_samples=True) \
-            if tel.enabled else {}
-        sources: Dict[str, dict] = {"router": router}
-        replicas = {replica.index: () for replica in self._replicas
-                    if replica.live}
-        if pull and replicas and not self._closed:
-            replies = self._call("metrics_snapshot", owners=replicas)
-            with self._metrics_lock:
-                for index, snapshot in replies.items():
-                    self._replica_metrics[f"replica{index}"] = snapshot
-        with self._metrics_lock:
-            sources.update({label: dict(snapshot) for label, snapshot
-                            in self._replica_metrics.items()})
-        merged = merge_snapshots(sources, strict=False)
-        return {"merged": merged,
-                "sources": dict(sorted(sources.items()))}
-
-    def stats(self) -> dict:
+    def _liveness(self) -> Tuple[List[int], Dict[int, int]]:
+        """Live replica indexes, and each replica's outstanding pairs."""
         with self._lock:
-            outstanding = {replica.index: replica.outstanding_pairs
-                           for replica in self._replicas}
-            live = [replica.index for replica in self._replicas
-                    if replica.live]
-            depth = len(self._inflight)
-        stats = {
-            "mode": "serial" if self.serial else "pool",
-            "replicas": self.config.replicas,
-            "shards": self.config.shards,
-            "live": live,
-            "model_version": self.version,
-            "candidate_mode": self._candidate_mode,
-            "queue_depth": depth,
-            "outstanding": outstanding,
-            "requests": self.request_count,
-            "responses": self.response_count,
-            "shed": self.shed_count,
-            "redispatched": self.redispatch_count,
-            "deaths": self.death_count,
-            "respawns": self.respawn_count,
-            "catalog_records": self.catalog_size(),
-            "replica_stats": dict(sorted(self._call("stats").items())),
-        }
+            return ([replica.index for replica in self._replicas
+                     if replica.live],
+                    {replica.index: replica.outstanding_pairs
+                     for replica in self._replicas})
+
+    def _add_health(self, payload: dict) -> None:
+        """Router-side replica liveness: no scatter."""
+        live, outstanding = self._liveness()
+        payload["replicas"] = {
+            "configured": self.config.replicas, "live": live,
+            "outstanding": {str(index): pairs
+                            for index, pairs in outstanding.items()},
+            "deaths": self.death_count, "respawns": self.respawn_count}
+
+    def _add_stats(self, stats: dict) -> None:
+        """Topology, journal sizes and every executor's own stats."""
+        live, outstanding = self._liveness()
+        stats.update(
+            mode=self._mode, replicas=self.config.replicas,
+            shards=self.config.shards, live=live, outstanding=outstanding,
+            redispatched=self.redispatch_count, deaths=self.death_count,
+            respawns=self.respawn_count, catalog_records=self.catalog_size(),
+            replica_stats=dict(sorted(self._call("stats").items())))
         if "clk" in self._kinds:
             stats["clk_catalog_records"] = self.clk_catalog_size()
             stats["clk_threshold"] = self.clk_threshold
@@ -1393,4 +1305,20 @@ class ServingPool(ServingFront):
             # the in-process server admits and answers its own requests
             for key in ("requests", "responses", "shed"):
                 stats[key] += stats["replica_stats"][0][key]
-        return stats
+
+    def _metric_sources(self) -> Dict[str, dict]:
+        """The router's registry and each replica's newest snapshot:
+        pulled from every live replica while the pool runs, else what the
+        stop acks carried (the serial server shares the router's)."""
+        sources = {"router": get_telemetry().metrics.snapshot(
+            include_samples=True)}
+        live, _ = self._liveness()
+        if live and not self._closed:  # a serial pool has no replica
+            pulled = self._call("registry_snapshot")
+            with self._metrics_lock:
+                for index, snapshot in pulled.items():
+                    self._replica_metrics[f"replica{index}"] = snapshot
+        with self._metrics_lock:
+            sources.update({label: dict(snapshot) for label, snapshot
+                            in self._replica_metrics.items()})
+        return sources

@@ -2,8 +2,9 @@
 
 :class:`ServingFront` is the public surface this server shares with
 :class:`~repro.serve.pool.ServingPool` (submit, match, CLK queries, the
-synchronous conveniences, candidate mode, SLO/drift); each subclass only
-says where scoring and candidate search run.
+synchronous conveniences, candidate mode, SLO/drift, and the ``health``,
+``stats`` and ``metrics_snapshot`` views); each subclass only says where
+scoring and candidate search run, and what its topology adds to a view.
 
 Request path
 ------------
@@ -60,14 +61,14 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..data.dataset import CandidatePair
 from ..data.records import EntityRecord
 from ..infer import EngineConfig, InferenceEngine
-from ..obs import get_telemetry
+from ..obs import get_telemetry, merge_snapshots
 from ..obs.serving import (
     DriftMonitor, RequestTracer, SloTracker, TraceContext, stitch_trace,
 )
@@ -307,18 +308,23 @@ class ServingFront:
     ``_submit_many``), match queries over its ``candidates``, CLK queries
     over its ``clk_candidates``, the synchronous conveniences (which
     drive ``process_once`` inline while no scheduler runs),
-    candidate-mode switching (validated by ``_check_mode``), drift
-    reporting and the SLO snapshot. A subclass keeps its topology: those
-    hooks, ``is_running``, ``start``/``stop``, ``swap``, the catalog
-    writes, ``health``, ``stats`` and ``metrics_snapshot``.
+    candidate-mode switching, drift reporting, the SLO snapshot, the
+    model ``version``/``bundle`` and the three views. A subclass keeps
+    its topology: those hooks, ``is_running``, ``start``/``stop``,
+    ``swap``, the catalog writes and what only it knows of a view:
+    ``_mode``, ``_kinds`` (each configured candidate index's kind),
+    ``_queue_depth``, ``_add_health``, ``_add_stats`` and
+    ``_metric_sources``.
     """
 
     #: prefix of the shed counter and the candidate-mode event
     _scope = "serve"
 
-    def __init__(self, tenants, clk_threshold: float,
+    def __init__(self, bundle: ModelBundle, tenants, clk_threshold: float,
                  slo: Optional[SloTracker],
                  drift: Optional[DriftMonitor]) -> None:
+        self._bundle = bundle
+        self._version = 1
         #: optional repro.serve.tenants.TenantRegistry; requests may name
         #: one of its tenants, checked at admission
         self.tenants = tenants
@@ -494,6 +500,71 @@ class ServingFront:
             tel.metrics.gauge("serve.drift.active").set(
                 1.0 if self.drift.active else 0.0)
 
+    # ------------------------------------------------------------------
+    # Model and views
+    # ------------------------------------------------------------------
+    @property
+    def version(self) -> int:
+        """The newest model version (responses carry the one that scored
+        them)."""
+        return self._version
+
+    @property
+    def bundle(self) -> ModelBundle:
+        return self._bundle
+
+    def _check_mode(self, mode: str) -> None:
+        if mode not in INDEX_ARGS:
+            raise ValueError(
+                "candidate_mode must be 'sparse', 'dense', or 'clk'")
+        if mode not in self._kinds:
+            raise ValueError(f"no {mode} index configured")
+
+    def health(self) -> dict:
+        """Cheap liveness payload for ``GET /healthz``: front-side state
+        only -- no scoring, no executor call, no lock a swap holds -- so
+        it is safe for LB probes."""
+        kinds = self._kinds
+        payload = {
+            "mode": self._mode,
+            "model_version": self.version,
+            "bundle": self.bundle.name,
+            "catalog_size": self.catalog_size(),
+            "candidate_mode": self._candidate_mode,
+            "candidate_index": kinds[self._candidate_mode],
+            "queue_depth": self._queue_depth(),
+        }
+        self._add_health(payload)
+        if "clk" in kinds:
+            payload["clk_catalog_size"] = self.clk_catalog_size()
+        if self.tenants is not None:
+            tenants = self.tenants.stats()
+            payload["tenants"] = {key: tenants[key] for key in
+                                  ("registered", "loaded", "capacity")}
+        return payload
+
+    def stats(self) -> dict:
+        """Service counters for ``GET /stats``, then the topology's own
+        (a server's engine and indexes, a pool's replicas)."""
+        stats = {
+            "queue_depth": self._queue_depth(),
+            "requests": self.request_count,
+            "responses": self.response_count,
+            "shed": self.shed_count,
+            "model_version": self.version,
+            "candidate_mode": self._candidate_mode,
+        }
+        self._add_stats(stats)
+        return stats
+
+    def metrics_snapshot(self) -> dict:
+        """Each metrics registry this front spans (``sources``: a server
+        is one, a pool its router plus every replica) and their merge,
+        which counts every process once, for ``GET /metrics``."""
+        sources = self._metric_sources()
+        return {"merged": merge_snapshots(sources, strict=False),
+                "sources": dict(sorted(sources.items()))}
+
     def slo_snapshot(self) -> dict:
         """Per-tenant SLO compliance plus drift state for ``GET /slo``."""
         return {
@@ -525,6 +596,8 @@ class MatchServer(ServingFront):
       modes.
     """
 
+    _mode = "single"
+
     def __init__(self, bundle: ModelBundle,
                  config: Optional[ServerConfig] = None,
                  index: Optional[ServingIndex] = None,
@@ -549,7 +622,7 @@ class MatchServer(ServingFront):
             drift = drift if drift is not None else DriftMonitor()
         # with a tenant registry the scheduler binds each request's delta
         # (or fuses several soft-prompt tenants into one batch)
-        super().__init__(tenants, clk_threshold, slo, drift)
+        super().__init__(bundle, tenants, clk_threshold, slo, drift)
         self._monitor = monitor
         if tenants is not None:
             tenants.attach(bundle.model)
@@ -568,8 +641,6 @@ class MatchServer(ServingFront):
         self._candidate_mode = "sparse"
         self.set_candidate_mode(candidate_mode)
         self._swap_lock = threading.Lock()
-        self._bundle = bundle
-        self._version = 1
         self._queue: Deque[_Request] = deque()
         self._cond = threading.Condition()
         self._thread: Optional[threading.Thread] = None
@@ -586,16 +657,6 @@ class MatchServer(ServingFront):
     # ------------------------------------------------------------------
     # Bundle management
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        with self._swap_lock:
-            return self._version
-
-    @property
-    def bundle(self) -> ModelBundle:
-        with self._swap_lock:
-            return self._bundle
-
     def swap(self, bundle: ModelBundle) -> int:
         """Atomically install ``bundle``; scheduler adopts it at the next
         batch boundary. Returns the new version number."""
@@ -617,12 +678,12 @@ class MatchServer(ServingFront):
     # ------------------------------------------------------------------
     # Candidate generation (sparse token index vs dense ANN index)
     # ------------------------------------------------------------------
-    def _check_mode(self, mode: str) -> None:
-        if mode not in INDEX_ARGS:
-            raise ValueError(
-                "candidate_mode must be 'sparse', 'dense', or 'clk'")
-        if getattr(self, INDEX_ARGS[mode]) is None:
-            raise ValueError(f"no {mode} index configured")
+    @property
+    def _kinds(self) -> Dict[str, str]:
+        """Each configured candidate index's ``kind``, by mode."""
+        return {mode: getattr(self, arg).kind
+                for mode, arg in INDEX_ARGS.items()
+                if getattr(self, arg) is not None}
 
     def _candidate_index(self):
         return getattr(self, INDEX_ARGS[self._candidate_mode])
@@ -1062,63 +1123,26 @@ class MatchServer(ServingFront):
                         break
 
     # ------------------------------------------------------------------
-    # Topology views (a pool reports its replicas in the same three)
+    # What only a server adds to the views
     # ------------------------------------------------------------------
-    def health(self) -> dict:
-        """Cheap liveness payload for ``GET /healthz`` (no locks beyond
-        the queue/swap peeks, no scoring, safe for LB probes)."""
+    def _queue_depth(self) -> int:
         with self._cond:
-            depth = len(self._queue)
-        bundle, version = self._snapshot()
-        payload = {
-            "mode": "single",
-            "model_version": version,
-            "bundle": bundle.name,
-            "catalog_size": len(self.index),
-            "candidate_mode": self._candidate_mode,
-            "candidate_index": self._candidate_index().kind,
-            "queue_depth": depth,
-            "scheduler_running": self.is_running,
-        }
-        if self.clk_index is not None:
-            payload["clk_catalog_size"] = len(self.clk_index)
-        if self.tenants is not None:
-            tstats = self.tenants.stats()
-            payload["tenants"] = {
-                "registered": tstats["registered"],
-                "loaded": tstats["loaded"],
-                "capacity": tstats["capacity"],
-            }
-        return payload
+            return len(self._queue)
 
-    def metrics_snapshot(self) -> dict:
-        """The active registry's snapshot, shaped like the pool's merged
-        view (one source) so ``GET /metrics`` is mode-agnostic."""
-        snap = get_telemetry().metrics.snapshot()
-        return {"merged": snap, "sources": {"server": snap}}
+    def _add_health(self, payload: dict) -> None:
+        payload["scheduler_running"] = self.is_running
 
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Service counters plus the underlying engine's stats."""
-        with self._cond:
-            depth = len(self._queue)
-        stats = {
-            "queue_depth": depth,
-            "requests": self.request_count,
-            "responses": self.response_count,
-            "shed": self.shed_count,
-            "errors": self.error_count,
-            "batches": self._batch_id,
-            "model_version": self.version,
-            "bundle": self.bundle.name,
-            "candidate_mode": self._candidate_mode,
-            "index": self.index.stats(),
-            "engine": self.engine.stats_dict(),
-        }
+    def _add_stats(self, stats: dict) -> None:
+        """The scheduler's counters, the engine's and each index's stats."""
+        stats.update(errors=self.error_count, batches=self._batch_id,
+                     bundle=self.bundle.name, index=self.index.stats(),
+                     engine=self.engine.stats_dict())
         if self.dense_index is not None:
             stats["dense_index"] = self.dense_index.stats()
         if self.clk_index is not None:
             stats["clk_index"] = self.clk_index.stats()
         if self.tenants is not None:
             stats["tenants"] = self.tenants.stats()
-        return stats
+
+    def _metric_sources(self) -> Dict[str, dict]:
+        return {"server": get_telemetry().metrics.snapshot()}

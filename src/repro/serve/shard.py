@@ -50,7 +50,6 @@ import numpy as np
 
 from ..data.records import EntityRecord
 from ..kernels import top_ranked
-from .index import ServingIndex
 
 #: per-shard ``stats()`` counters a sharded index reports as sums
 _SUMMED_STATS = ("tokens", "postings", "plaintext_records")
@@ -207,28 +206,3 @@ class ShardedIndex:
             if per_shard and key in per_shard[0]:
                 stats[key] = sum(s[key] for s in per_shard)
         return stats
-
-
-def ShardedServingIndex(shards: int = 1, threshold: float = 0.0,
-                        min_shared_tokens: int = 1,
-                        default_k: int = 5) -> ShardedIndex:
-    """``shards`` x :class:`ServingIndex`: sparse candidates bit-identical
-    to one unsharded index at any shard count."""
-    return ShardedIndex(lambda: ServingIndex(
-        threshold=threshold, min_shared_tokens=min_shared_tokens,
-        default_k=default_k), shards)
-
-
-def ShardedDenseCandidateIndex(encoder, shards: int = 1, kind: str = "ivf",
-                               min_score: Optional[float] = None,
-                               default_k: int = 5, seed: int = 0,
-                               **index_kwargs) -> ShardedIndex:
-    """``shards`` x :class:`~repro.serve.dense.DenseCandidateIndex` over
-    one shared encoder (and its content-addressed cache) and one seed, so
-    LSH shards hash against identical hyperplanes and their buckets
-    partition the unsharded ones."""
-    from .dense import DenseCandidateIndex
-
-    return ShardedIndex(lambda: DenseCandidateIndex(
-        encoder, kind=kind, min_score=min_score, default_k=default_k,
-        seed=seed, **index_kwargs), shards)

@@ -140,3 +140,19 @@ class TestShape:
                        r.timer("t").observe(0.5),
                        r.gauge("g").set(2.0)))
         json.dumps(merge_snapshots(sources))
+
+    def test_one_source_merges_to_itself(self):
+        """A lone source's snapshot is the merge, also where re-deriving a
+        quantile or an EWMA from ``value * count`` would round it."""
+        registry = MetricsRegistry()
+        registry.counter("c").inc(3)
+        registry.gauge("g").set(2.5)
+        for value in (0.486, 0.63, 0.845):
+            registry.histogram("h").observe(value)
+            registry.quantiles("q").observe(value)
+        for value in (0.016, 0.271, 0.705, 0.372, 0.17):
+            registry.timer("t").observe(value)
+        snapshot = registry.snapshot()
+        assert merge_snapshots({"server": snapshot}) == snapshot
+        sampled = registry.snapshot(include_samples=True)
+        assert merge_snapshots({"router": sampled}) == snapshot

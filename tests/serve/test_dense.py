@@ -15,7 +15,7 @@ from repro.serve import (
     DenseCandidateIndex, MatchHTTPServer, MatchServer, ServerConfig,
     ServingIndex,
 )
-from repro.serve.shard import ShardedDenseCandidateIndex
+from repro.serve.shard import ShardedIndex
 
 
 def rec(rid, text):
@@ -147,8 +147,8 @@ class TestServerModeRouting:
     def test_health_names_sharded_dense_index(self, bundle, encoder):
         """/healthz reads the index's own kind, so a sharded dense index
         reports like an unsharded one instead of raising."""
-        sharded = ShardedDenseCandidateIndex(encoder, 2, kind="ivf",
-                                             nlist=2, nprobe=2)
+        sharded = ShardedIndex(lambda: DenseCandidateIndex(
+            encoder, kind="ivf", nlist=2, nprobe=2), 2)
         server = MatchServer(bundle, dense_index=sharded,
                              candidate_mode="dense")
         server.catalog_add([rec("bike", "red mountain bicycle")])

@@ -8,10 +8,12 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from repro.data.records import EntityRecord
 from repro.parallel.pool import force_serial, fork_available
 from repro.privacy import ClkCandidateIndex, clk_to_bytes
 from repro.serve import (
@@ -24,7 +26,8 @@ WORDS = 4
 
 SHARED = ("submit", "submit_match", "clk_match", "score", "score_batch",
           "match", "candidate_mode", "slo_snapshot", "__enter__",
-          "__exit__", "_check_tenant")
+          "__exit__", "_check_tenant", "health", "stats",
+          "metrics_snapshot", "version", "bundle", "_check_mode")
 
 
 def filters(count, words=WORDS, seed=0):
@@ -130,6 +133,23 @@ class TestExecutorsFailAlike:
         assert server.clk_catalog_size() == 3
 
 
+class TestCheapHealth:
+    def test_pool_health_skips_executors_and_swap(self, clk_pool,
+                                                  monkeypatch):
+        """health() reads router-side state only: it sends nothing to an
+        executor and does not wait behind a swap, which holds the swap
+        lock while the weight store waits on laggard replicas."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("health() reached an executor")
+
+        monkeypatch.setattr(clk_pool, "_call", refuse)
+        monkeypatch.setattr(clk_pool, "_gather", refuse)
+        with clk_pool._swap_lock:
+            outcome = outcome_within(clk_pool.health)
+        assert "error" not in outcome, outcome.get("error")
+        assert outcome["value"]["clk_catalog_size"] == 6
+
+
 def _post(http, path, payload):
     request = urllib.request.Request(
         http.address + path, data=json.dumps(payload).encode(),
@@ -170,3 +190,36 @@ class TestHTTP:
                                  {"id": "q", "clk": _b64(filters(6)[4][1]),
                                   "k": 1})
             assert status == 200 and body["candidates"][0]["id"] == "c4"
+
+    @pytest.mark.parametrize("kind", ["server", "serial", "forked"])
+    def test_clk_catalog_route_without_clk_index(self, bundle, kind):
+        """With no CLK index, /admin/clk-catalog answers 400 before it
+        writes: the plaintext record it names stays in the catalog."""
+        if kind == "forked" and not fork_available():
+            pytest.skip("fork start method unavailable")
+        records = [EntityRecord.text_record(f"r{i}", text)
+                   for i, text in enumerate(("red mountain bicycle",
+                                             "espresso coffee machine",
+                                             "wireless headphones",
+                                             "gaming laptop computer"))]
+        if kind == "server":
+            front = MatchServer(bundle)
+        else:
+            front = ServingPool(bundle, PoolConfig(replicas=2, shards=3))
+        front.catalog_add(records)
+        with force_serial() if kind == "serial" else nullcontext():
+            front.start()
+        try:
+            wrapper = MatchHTTPServer(front, port=0)
+        except OSError as error:  # pragma: no cover - sandboxed CI
+            front.stop()
+            pytest.skip(f"cannot bind a local socket: {error}")
+        with wrapper:
+            status, body = _post(wrapper, "/admin/clk-catalog",
+                                 {"remove": ["r0"]})
+            assert status == 400 and "clk" in body["detail"]
+            with pytest.raises(ValueError):
+                front.clk_catalog_size()
+            assert front.catalog_size() == 4
+            found = front.candidates(records[0], 4)
+            assert "r0" in [record.record_id for record, _ in found]

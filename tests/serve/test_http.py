@@ -60,6 +60,21 @@ class TestJSONLDriver:
         with pytest.raises(ProtocolError):
             handle_request(server, {"op": "score", "left": {"id": "x"}})
 
+    def test_non_object_record_is_protocol_error(self, bundle, pairs):
+        """Both transports decode a request alike: a record that is not a
+        JSON object is a ProtocolError, like a missing one."""
+        from repro.serve import ProtocolError
+
+        server = MatchServer(bundle)
+        request = {"op": "score", "left": "x",
+                   "right": _record_to_dict(pairs[0].right)}
+        with pytest.raises(ProtocolError):
+            handle_request(server, request)
+        with pytest.raises(ProtocolError):
+            list(serve_requests(server, [request]))
+        with pytest.raises(ProtocolError):
+            list(serve_requests(server, [[1, 2]]))
+
     def test_overloaded_becomes_response_dict(self, bundle, pairs):
         server = MatchServer(bundle, ServerConfig(max_queue=1))
         server.submit(pairs[0])  # fill the queue, no driver running
@@ -183,6 +198,16 @@ class TestHTTPServer:
         assert status == 400
         status, body = self.post(http, "/nope", {})
         assert status == 404
+
+    def test_malformed_bodies_answer_400(self, http, pairs):
+        """A body or a record that is not a JSON object answers 400
+        instead of dropping the connection."""
+        record = _record_to_dict(pairs[0].right)
+        for path, payload in (("/score", [1, 2]),
+                              ("/score", {"left": "x", "right": record}),
+                              ("/admin/catalog", {"add": [1]})):
+            status, body = self.post(http, path, payload)
+            assert (status, body["status"]) == (400, "error"), path
 
 
 class TestAdminAuth:

@@ -106,7 +106,7 @@ class TestPoolMetricsAggregation:
             with pool:
                 pool.score_batch(list(pairs[:4]), timeout=60.0)
             # pool stopped: the cached stop-ack snapshots still merge
-            view = pool.metrics_snapshot(pull=False)
+            view = pool.metrics_snapshot()
             assert any(label.startswith("replica")
                        for label in view["sources"])
             assert view["merged"]["serve.responses"]["value"] >= 4

@@ -1,7 +1,7 @@
-"""Sharded candidate parity: ShardedServingIndex / ShardedDenseCandidateIndex
-must return exactly the unsharded top-k at every shard count, including
-after add/remove/replace churn -- the property the pool's scatter/gather
-correctness rests on."""
+"""Sharded candidate parity: a ShardedIndex of ServingIndex or
+DenseCandidateIndex shards must return exactly the unsharded top-k at
+every shard count, including after add/remove/replace churn -- the
+property the pool's scatter/gather correctness rests on."""
 
 import pytest
 
@@ -9,9 +9,7 @@ from repro.ann import RecordEncoder
 from repro.data.records import EntityRecord
 from repro.serve import ServingIndex
 from repro.serve.dense import DenseCandidateIndex
-from repro.serve.shard import (
-    ShardedDenseCandidateIndex, ShardedServingIndex, merge_topk, shard_of,
-)
+from repro.serve.shard import ShardedIndex, merge_topk, shard_of
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -73,7 +71,7 @@ class TestSparseParity:
     def test_topk_identical_to_unsharded(self, records, queries, shards):
         flat = ServingIndex(default_k=5)
         flat.add_many(records)
-        sharded = ShardedServingIndex(shards, default_k=5)
+        sharded = ShardedIndex(lambda: ServingIndex(default_k=5), shards)
         assert sharded.add_many(records) == len({r.record_id
                                                  for r in records})
         assert len(sharded) == len(flat)
@@ -84,7 +82,7 @@ class TestSparseParity:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_parity_survives_churn(self, records, queries, shards):
         flat = ServingIndex(default_k=5)
-        sharded = ShardedServingIndex(shards, default_k=5)
+        sharded = ShardedIndex(lambda: ServingIndex(default_k=5), shards)
         flat.add_many(records)
         sharded.add_many(records)
         # remove every third record, replace every fifth with new values
@@ -103,7 +101,7 @@ class TestSparseParity:
             assert ranking(sharded, query, 6) == ranking(flat, query, 6)
 
     def test_catalog_protocol(self, records):
-        sharded = ShardedServingIndex(3)
+        sharded = ShardedIndex(ServingIndex, 3)
         sharded.add_many(records[:10])
         sample = records[0]
         assert sample.record_id in sharded
@@ -153,8 +151,8 @@ class TestDenseParity:
         subset = records[:24]
         flat = DenseCandidateIndex(encoder, kind=kind, default_k=4, seed=3)
         flat.add_many(subset)
-        sharded = ShardedDenseCandidateIndex(encoder, shards, kind=kind,
-                                             default_k=4, seed=3)
+        sharded = ShardedIndex(lambda: DenseCandidateIndex(
+            encoder, kind=kind, default_k=4, seed=3), shards)
         sharded.add_many(subset)
         assert len(sharded) == len(flat)
         for query in queries[:3]:
@@ -165,8 +163,8 @@ class TestDenseParity:
     def test_parity_survives_churn(self, encoder, records, queries, shards):
         subset = records[:18]
         flat = DenseCandidateIndex(encoder, kind="lsh", default_k=4, seed=7)
-        sharded = ShardedDenseCandidateIndex(encoder, shards, kind="lsh",
-                                             default_k=4, seed=7)
+        sharded = ShardedIndex(lambda: DenseCandidateIndex(
+            encoder, kind="lsh", default_k=4, seed=7), shards)
         flat.add_many(subset)
         sharded.add_many(subset)
         for i, record in enumerate(subset):
@@ -183,8 +181,8 @@ class TestDenseParity:
     def test_query_embedded_once(self, encoder, records, queries):
         """candidates() routes through one encoder call + the vector
         scatter path (the pool depends on candidates_from_vector)."""
-        sharded = ShardedDenseCandidateIndex(encoder, 2, kind="lsh",
-                                             default_k=3, seed=1)
+        sharded = ShardedIndex(lambda: DenseCandidateIndex(
+            encoder, kind="lsh", default_k=3, seed=1), 2)
         sharded.add_many(records[:12])
         query = queries[0]
         vector = encoder.encode_record(query)
